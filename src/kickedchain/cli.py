@@ -46,7 +46,7 @@ def main(argv=None) -> int:
                 print(path)
         elif args.command == "feasibility":
             report = feasibility(args.b_range, args.sites, args.j_hz, args.t0_s)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         else:
             with open(args.config) as fh:
                 validate_config(json.load(fh))

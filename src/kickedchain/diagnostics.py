@@ -45,7 +45,7 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
 def _check_probability(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     total = p.sum()
-    if abs(total - 1.0) > PROBABILITY_TOL:
+    if not abs(total - 1.0) <= PROBABILITY_TOL:  # also rejects a NaN total
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROBABILITY_TOL}")
     return p
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .chain import ChainConfig, dispersion, wavenumber_grid
 
@@ -205,7 +206,7 @@ def evolve(
     snapshots = [(0, np.abs(amps) ** 2)]
     for t in range(1, n_periods + 1):
         for kick in kicks:
-            amps = np.fft.ifft(np.fft.fft(amps) * exchange_phases)
+            amps = fft.ifft(fft.fft(amps) * exchange_phases)
             amps = amps * kick
         if t % snapshot_every == 0 or t == n_periods:
             snapshots.append((t, np.abs(amps) ** 2))
@@ -275,7 +276,7 @@ def qkr_evolve(
     max_edge = float(prob[0] + prob[-1])
     for t in range(1, n_periods + 1):
         amps = amps * free_phases
-        amps = np.fft.fft(np.fft.ifft(amps) * kick_phases)
+        amps = fft.fft(fft.ifft(amps) * kick_phases)
         if t % snapshot_every == 0 or t == n_periods:
             prob = np.abs(amps) ** 2
             snapshots.append((t, prob))

@@ -9,6 +9,7 @@ enough that the instantaneous-kick (split-step) picture holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["FeasibilityReport", "feasibility", "AU_TIME_SECONDS", "FIELD_TESLA_PER_AU"]
@@ -38,6 +39,8 @@ class FeasibilityReport:
     overlap between the kick-action floor and the split-step ceiling;
     ``strong_kick_window_au`` is the duration range giving kick action in the
     comfortably strong 100-1000 band, reported regardless of feasibility.
+    Without a field (``b_range_au`` = 0) the kick-action durations are
+    infinite; ``to_dict`` writes them as None (JSON null).
     """
 
     b_range_au: float
@@ -59,13 +62,17 @@ class FeasibilityReport:
             "j_hz": self.j_hz,
             "b_kick_au": self.b_kick_au,
             "b_range_tesla": self.b_range_tesla,
-            "pulse_min_au": self.pulse_min_au,
-            "pulse_max_au": self.pulse_max_au,
-            "strong_kick_window_au": list(self.strong_kick_window_au),
+            "pulse_min_au": _bound(self.pulse_min_au),
+            "pulse_max_au": _bound(self.pulse_max_au),
+            "strong_kick_window_au": [_bound(t) for t in self.strong_kick_window_au],
             "exchange_action": self.exchange_action,
             "exchange_action_ok": self.exchange_action_ok,
             "feasible": self.feasible,
         }
+
+
+def _bound(duration: float) -> float | None:
+    return duration if math.isfinite(duration) else None
 
 
 def feasibility(
@@ -83,6 +90,9 @@ def feasibility(
     2*j*T0 >> 1.  An empty duration window is reported as infeasible, not an
     error.
     """
+    for name, value in (("b_range_au", b_range_au), ("j_hz", j_hz), ("t0_seconds", t0_seconds)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if b_range_au < 0:
         raise ValueError("b_range_au must be >= 0")
     if n_sites <= 0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "StandardMap",
@@ -313,6 +312,10 @@ def fixed_point_stability(
     bracketing scan refined with Brent's method, then classified by the
     tangent-map trace 2 - V''(x*).
     """
+    # imported here: scipy.optimize is most of the package's import time and no
+    # run path needs it
+    from scipy.optimize import brentq
+
     vp, vpp = _potential_derivatives(spec)
     xs = np.linspace(0.0, TWO_PI, n_scan + 1)
     fs = vp(xs)

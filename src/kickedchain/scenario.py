@@ -9,8 +9,8 @@ seed, and the package version, and is byte-reproducible for a fixed config.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import warnings as _warnings
 from pathlib import Path
 
@@ -90,6 +90,8 @@ def _number(obj, path, key, minimum=None, exclusive=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
     v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be finite")
     if minimum is not None and (v <= minimum if exclusive else v < minimum):
         op = ">" if exclusive else ">="
         raise ConfigError(f"{path}.{key}: must be {op} {minimum}")
@@ -174,9 +176,12 @@ def _validate_classical_initial(obj, path):
             if (
                 not isinstance(pt, list)
                 or len(pt) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pt)
+                or any(
+                    isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c)
+                    for c in pt
+                )
             ):
-                raise ConfigError(f"{path}.points[{i}]: expected an [x, p] number pair")
+                raise ConfigError(f"{path}.points[{i}]: expected a finite [x, p] number pair")
         return {"points": [[float(x), float(p)] for x, p in pts]}
     if set(obj) == {"uniform_x"}:
         sub = _object(obj["uniform_x"], f"{path}.uniform_x")
@@ -305,30 +310,37 @@ def _classical_initials(initial_cfg: dict, rng: np.random.Generator):
     return x0, p0
 
 
+# The CSV writers below keep the bytes of csv.writer's default dialect: rows end
+# in "\r\n", floats are their shortest repr, labels are str(int), nothing is
+# quoted.  Each snapshot or trajectory is formatted in one join and written, so
+# at most one of them is held as text at a time.
+
+
 def _write_dist_csv(path: Path, snapshots, site_labels) -> None:
+    sites = [f"{site}," for site in site_labels]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "site", "probability"])
+        fh.write("period,site,probability\r\n")
         for period, dist in snapshots:
-            for site, prob in zip(site_labels, dist):
-                writer.writerow([period, site, repr(float(prob))])
+            head = f"{period},"
+            rows = [f"{head}{site}{prob!r}\r\n" for site, prob in zip(sites, dist.tolist())]
+            fh.write("".join(rows))
 
 
 def _write_sos_csv(path: Path, sections) -> None:
+    steps = [f",{step}," for step in range(1, sections.shape[1] + 1)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory", "step", "x", "p"])
-        for traj in range(sections.shape[0]):
-            for step in range(sections.shape[1]):
-                x, p = sections[traj, step]
-                writer.writerow([traj, step + 1, repr(float(x)), repr(float(p))])
+        fh.write("trajectory,step,x,p\r\n")
+        for traj, points in enumerate(sections):
+            head = str(traj)
+            rows = [f"{head}{step}{x!r},{p!r}\r\n" for step, (x, p) in zip(steps, points.tolist())]
+            fh.write("".join(rows))
 
 
 def _write_report(path: Path, config: dict, report: dict) -> None:
     doc = {"config": config, "report": report, "seed": config["seed"], "version": __version__}
-    with path.open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # encoded before the file is opened, so a non-finite value leaves no partial report
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _quantum_report(config, record, chain, s0) -> dict:
@@ -388,7 +400,9 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     ``config`` is a path to a JSON document or an already-parsed dict.
     ``seed`` and ``out_prefix`` override the corresponding config fields.
     Returns {"files": [paths written], "config": resolved config,
-    "warnings": [...]}; warnings are also embedded in the report.
+    "warnings": [...]}; warnings are also embedded in the report.  The
+    report is written before the CSV, so a run whose report cannot be
+    encoded leaves no output files.
     """
     if isinstance(config, (str, Path)):
         with open(config) as fh:
@@ -435,9 +449,9 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
             s0 = chain.kick_center
             state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
         record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
-        _write_dist_csv(dist_path, record.snapshots, range(chain.n_sites))
         report_doc = _quantum_report(cfg, record, chain, s0)
         _write_report(report_path, cfg, report_doc)
+        _write_dist_csv(dist_path, record.snapshots, range(chain.n_sites))
         files = [dist_path, report_path]
 
     elif scenario == "qkr":
@@ -451,7 +465,6 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
             cfg["snapshot_every"],
         )
         labels = rotor["initial_momentum"] + np.arange(rotor["n_basis"]) - rotor["n_basis"] // 2
-        _write_dist_csv(dist_path, record.snapshots, labels)
         variance, participation = distribution_stats(
             record.final_distribution, rotor["n_basis"] // 2
         )
@@ -462,6 +475,7 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
             "warnings": list(record.warnings),
         }
         _write_report(report_path, cfg, report_doc)
+        _write_dist_csv(dist_path, record.snapshots, labels)
         files = [dist_path, report_path]
 
     elif scenario == "classical_map":
@@ -487,9 +501,9 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
         init_ss, run_ss = root.spawn(2)
         x0, p0 = _classical_initials(cfg["initial"], np.random.default_rng(init_ss))
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
-        _write_sos_csv(sos_path, sections)
         report_doc = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
         _write_report(report_path, cfg, report_doc)
+        _write_sos_csv(sos_path, sections)
         files = [sos_path, report_path]
 
     else:  # feasibility

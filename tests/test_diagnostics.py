@@ -46,6 +46,12 @@ class TestDistributionStats:
         with pytest.raises(ValueError):
             distribution_stats(np.full(10, 0.2), 0)
 
+    def test_rejects_non_finite(self):
+        p = np.full(10, 0.1)
+        p[3] = np.nan
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            distribution_stats(p, 0)
+
     @given(shift=st.integers(min_value=0, max_value=255))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_cyclic_relabeling(self, shift):

@@ -2,14 +2,27 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickedchain
+import kickedchain.scenario as scenario_module
 from kickedchain import __version__
 from kickedchain.cli import main
-from kickedchain.scenario import ConfigError, run_scenario, validate_config
+from kickedchain.evolution import qkr_evolve
+from kickedchain.scenario import (
+    ConfigError,
+    _write_dist_csv,
+    _write_report,
+    _write_sos_csv,
+    run_scenario,
+    validate_config,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -27,6 +40,30 @@ def small_single_kick(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def oracle_dist_csv(path, snapshots, site_labels):
+    """The row-by-row csv.writer loop that defines the dist CSV bytes."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["period", "site", "probability"])
+        for period, dist in snapshots:
+            for site, prob in zip(site_labels, dist):
+                writer.writerow([period, site, repr(float(prob))])
+
+
+def oracle_sos_csv(path, sections):
+    """The row-by-row csv.writer loop that defines the section CSV bytes."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trajectory", "step", "x", "p"])
+        for traj in range(sections.shape[0]):
+            for step in range(sections.shape[1]):
+                x, p = sections[traj, step]
+                writer.writerow([traj, step + 1, repr(float(x)), repr(float(p))])
+
+
+EDGE_FLOATS = [0.0, 5e-324, 1e-300, 0.1, 1e16]
 
 
 class TestValidation:
@@ -88,6 +125,41 @@ class TestValidation:
         cfg = small_single_kick(tmp_path)
         cfg["schedule"]["b_kick"] = True
         with pytest.raises(ConfigError, match="b_kick"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("chain", "j1", float("nan")),
+            ("schedule", "period", float("inf")),
+            ("schedule", "b_kick", float("-inf")),
+        ],
+    )
+    def test_non_finite_number_names_field(self, tmp_path, section, key, value):
+        cfg = small_single_kick(tmp_path)
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"config.{section}.{key}: must be finite"):
+            validate_config(cfg)
+
+    def test_nan_b_weak_rejected(self, tmp_path):
+        cfg = small_single_kick(
+            tmp_path,
+            scenario="double_kick_random",
+            schedule={"b_weak": float("nan"), "period": 3.0},
+        )
+        with pytest.raises(ConfigError, match="config.schedule.b_weak: must be finite"):
+            validate_config(cfg)
+
+    def test_nan_section_point_rejected(self, tmp_path):
+        cfg = {
+            "scenario": "surface_of_section",
+            "seed": 1,
+            "output": str(tmp_path / "s"),
+            "map": {"variant": "standard", "k": 1.0},
+            "initial": {"points": [[0.0, 0.0], [float("nan"), 0.5]]},
+            "n_steps": 10,
+        }
+        with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
             validate_config(cfg)
 
     def test_bundled_configs_validate(self):
@@ -219,6 +291,86 @@ class TestRunScenario:
         assert doc["report"]["exchange_action"] == pytest.approx(2000.0)
         assert doc["report"]["exchange_action_ok"] is True
 
+    def test_feasibility_without_field_is_infeasible_not_an_error(self, tmp_path, capsys):
+        cfg = {
+            "scenario": "feasibility",
+            "seed": 0,
+            "output": str(tmp_path / "f"),
+            "b_range_au": 0.0,
+            "n_sites": 10000,
+            "j_hz": 1e9,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 0
+        text = (tmp_path / "f_report.json").read_text()
+        assert "Infinity" not in text
+        report = json.loads(text)["report"]
+        assert report["feasible"] is False
+        assert report["pulse_min_au"] is None
+        assert report["strong_kick_window_au"] == [None, None]
+        assert report["pulse_max_au"] > 0
+
+    def test_unencodable_report_leaves_no_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            scenario_module, "_quantum_report", lambda *args: {"variance": float("nan")}
+        )
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run_scenario(small_single_kick(tmp_path))
+        assert not list(tmp_path.glob("run_*"))
+
+
+class TestWriterBytes:
+    """The one-pass writers reproduce the csv.writer oracle byte for byte."""
+
+    def assert_same_bytes(self, tmp_path, write, oracle, *args):
+        write(tmp_path / "new.csv", *args)
+        oracle(tmp_path / "old.csv", *args)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_dist_edge_floats_range_labels(self, tmp_path):
+        dist = np.array(EDGE_FLOATS)
+        snapshots = [(0, dist), (7, dist[::-1].copy())]
+        self.assert_same_bytes(
+            tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, range(len(dist))
+        )
+
+    def test_dist_negative_int64_momentum_labels(self, tmp_path):
+        cfg = {
+            "scenario": "qkr",
+            "seed": 2,
+            "output": str(tmp_path / "q"),
+            "rotor": {"k": 1.0, "hbar": 0.5, "n_basis": 16, "initial_momentum": -3},
+            "n_periods": 4,
+            "snapshot_every": 2,
+        }
+        result = run_scenario(cfg)
+        dist = next(f for f in result["files"] if f.endswith("_dist.csv"))
+        record = qkr_evolve(-3, 1.0, 0.5, 4, 16, 2)
+        labels = -3 + np.arange(16) - 8
+        assert labels.dtype == np.int64 and labels[0] < 0
+        oracle_dist_csv(tmp_path / "old.csv", record.snapshots, labels)
+        assert Path(dist).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_dist_single_snapshot(self, tmp_path):
+        result = run_scenario(small_single_kick(tmp_path, n_periods=0))
+        dist = next(f for f in result["files"] if f.endswith("_dist.csv"))
+        p = np.zeros(64)
+        p[32] = 1.0
+        oracle_dist_csv(tmp_path / "old.csv", [(0, p)], range(64))
+        assert Path(dist).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_sos_edge_floats_and_negative_p(self, tmp_path):
+        x = np.array(EDGE_FLOATS)
+        sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([x[::-1], -x], axis=-1)])
+        assert sections.shape == (2, 5, 2)
+        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+
+    def test_sos_one_trajectory_one_step(self, tmp_path):
+        sections = np.array([[[0.1, -2.5]]])
+        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        assert (tmp_path / "new.csv").read_bytes() == b"trajectory,step,x,p\r\n0,1,0.1,-2.5\r\n"
+
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
@@ -259,6 +411,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["b_kick_au"] == pytest.approx(2e-14)
 
+    def test_feasibility_without_field_prints_strict_json(self, capsys):
+        code = main(["feasibility", "--b-range", "0", "--sites", "100", "--j-hz", "1e9"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        doc = json.loads(out)
+        assert doc["feasible"] is False
+        assert doc["pulse_min_au"] is None
+
+    @pytest.mark.parametrize(
+        "b_range, message",
+        [("nan", "b_range_au must be finite"), ("1e308", "not JSON compliant")],
+    )
+    def test_feasibility_non_finite_exits_1(self, capsys, b_range, message):
+        # 1e308 au is finite, but overflows to inf when converted to Tesla
+        code = main(["feasibility", "--b-range", b_range, "--sites", "1", "--j-hz", "1e9"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -266,6 +439,31 @@ class TestCli:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_nan_j1_run_exits_2_without_output(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "trapping_center.json").read_text())
+        cfg["chain"]["j1"] = float("nan")
+        cfg["output"] = str(tmp_path / "trap")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # json writes the bare NaN token
+        assert "NaN" in path.read_text()
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config.chain.j1: must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trap_*"))
+
+    def test_report_refuses_nan(self, tmp_path):
+        cfg = validate_config(small_single_kick(tmp_path))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_report(tmp_path / "r.json", cfg, {"variance": float("nan")})
+        assert not (tmp_path / "r.json").exists()
+
+    def test_cli_import_skips_scipy_optimize(self):
+        code = "import sys, kickedchain.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBundledRuns:
