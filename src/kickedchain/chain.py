@@ -12,6 +12,7 @@ the products ``j1 * period`` and ``kick strength * duration``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,15 +61,17 @@ class ChainConfig:
             raise ValueError(
                 f"kick_center must lie in [0, {self.n_sites}), got {self.kick_center}"
             )
+        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
+            raise ValueError(f"j1 and j2 must be finite, got {self.j1}, {self.j2}")
         model = ChainModel(self.model)
         object.__setattr__(self, "model", model)
         if model is ChainModel.FERROMAGNET:
-            if self.j1 <= 0:
+            if not self.j1 > 0:
                 raise ValueError("ferromagnet requires j1 > 0")
             if self.j2 != 0:
                 raise ValueError("ferromagnet requires j2 == 0")
         elif model is ChainModel.NNN_LADDER:
-            if self.j1 <= 0:
+            if not self.j1 > 0:
                 raise ValueError("nnn_ladder requires j1 > 0")
             if self.j2 == 0:
                 raise ValueError("nnn_ladder requires j2 != 0")
@@ -156,8 +159,8 @@ def rotor_image(config: ChainConfig, period: float, b_kick: float) -> RotorImage
     """
     if config.model is not ChainModel.FERROMAGNET:
         raise ValueError(f"rotor image is defined for the ferromagnet, not {config.model.value}")
-    if period <= 0:
+    if not period > 0:  # also rejects NaN
         raise ValueError("period must be > 0")
-    if b_kick < 0:
+    if not b_kick >= 0:
         raise ValueError("b_kick must be >= 0")
     return RotorImageParams(k=config.j1 * period * b_kick, hbar_eff=b_kick)

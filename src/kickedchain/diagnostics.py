@@ -46,7 +46,9 @@ def _check_probability(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     total = p.sum()
     if not abs(total - 1.0) <= PROBABILITY_TOL:  # also rejects a NaN total
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROBABILITY_TOL}")
+        raise ValueError(
+            f"probabilities sum to {float(total)!r}, expected 1 within {PROBABILITY_TOL}"
+        )
     return p
 
 

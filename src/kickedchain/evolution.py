@@ -14,6 +14,7 @@ diagonal in momentum, the cosine kick is diagonal in angle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +100,9 @@ KickSchedule = SingleKick | DoubleKick | RandomDoubleKick
 
 def _check_schedule(period, **strengths):
     # period 0 is allowed as the degenerate do-nothing schedule
-    if period < 0:
-        raise ValueError(f"period must be >= 0, got {period}")
-    for name, value in strengths.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    for name, value in {"period": period, **strengths}.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ drift-length parameter.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 MAX_ENSEMBLE = 10**6
+# Trajectories per tile: the contiguous slice of the ensemble one thread steps.
+_TILE = 4096
+# Bytes per chunk of angle draws of one tile (random variant only).
+_DRAW_BUDGET = 8 * 2**20
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,8 +64,8 @@ class DoubleKickMap:
     tau: float
 
     def __post_init__(self):
-        if self.eps <= 0 or self.tau <= 0:
-            raise ValueError("eps and tau must be > 0")
+        if not (self.eps > 0 and self.tau > 0):  # also rejects NaN
+            raise ValueError(f"eps and tau must be > 0, got {self.eps}, {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,8 @@ class RescaledDoubleKickMap:
     tau_eps: float
 
     def __post_init__(self):
-        if self.tau_eps <= 0:
-            raise ValueError("tau_eps must be > 0")
+        if not self.tau_eps > 0:  # also rejects NaN
+            raise ValueError(f"tau_eps must be > 0, got {self.tau_eps}")
 
 
 @dataclass(frozen=True)
@@ -147,17 +152,6 @@ def map_step(x: float, p: float, spec: MapSpec, rng: np.random.Generator | None 
     return _step(x, p, spec, draws)
 
 
-def _trajectory_rngs(seed, n_traj):
-    """Independent per-trajectory generators spawned from one master seed."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n_traj)]
-
-
-def _draw_block(rngs, n_steps):
-    """(n_steps, n_traj) uniform angle draws, one column per trajectory stream."""
-    return np.column_stack([rng.uniform(0.0, TWO_PI, size=n_steps) for rng in rngs])
-
-
 @dataclass
 class EnsembleStats:
     """Ensemble momentum statistics recorded along an iteration.
@@ -173,22 +167,8 @@ class EnsembleStats:
     momenta: np.ndarray
 
 
-def iterate_ensemble(
-    x0,
-    p0,
-    spec: MapSpec,
-    n_steps: int,
-    record_every: int = 1,
-    seed: int | None = None,
-    chunk: int = 4096,
-) -> EnsembleStats:
-    """Iterate an ensemble of initial conditions, recording momentum statistics.
-
-    Records step 0 and the final step regardless of ``record_every``.  For the
-    random map variant each trajectory consumes its own stream derived from
-    ``seed``, so results are reproducible and independent of how trajectories
-    might be batched.
-    """
+def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed):
+    """Validated float copies of the initial conditions, checked before any work."""
     x = np.array(x0, dtype=float).ravel()
     p = np.array(p0, dtype=float).ravel()
     if x.size == 0:
@@ -199,31 +179,123 @@ def iterate_ensemble(
         raise ValueError(f"ensemble size {x.size} exceeds cap {MAX_ENSEMBLE}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ValueError("initial conditions must be finite")
+    if isinstance(spec, RandomRescaledDoubleKickMap) and seed is None:
+        raise ValueError("random map variant requires a seed")
+    return x, p
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _advance_tile(x, p, spec, n_steps, seq, a, b, emit):
+    """Step trajectories a:b; return how many of them ended non-finite."""
+    x, p = x[a:b], p[a:b]
+    rngs, chunk = None, n_steps
+    if seq is not None:
+        # child i of seq: what a fresh seq.spawn hands out i-th, built
+        # without advancing seq's spawn counter
+        rngs = [
+            np.random.default_rng(
+                np.random.SeedSequence(
+                    seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
+                )
+            )
+            for i in range(a, b)
+        ]
+        chunk = max(1, _DRAW_BUDGET // (8 * (b - a)))
+    draws = None
+    for t0 in range(0, n_steps, chunk):
+        c = min(chunk, n_steps - t0)
+        if rngs is not None:
+            # one row per trajectory, then one step per row
+            block = np.empty((b - a, c))
+            for row, rng in zip(block, rngs):
+                rng.random(out=row)
+            # 2*pi*u is rng.uniform(0, 2*pi) bit for bit (it adds 0.0), at a
+            # third of its cost
+            block *= TWO_PI
+            draws = block.T.copy()
+        for s in range(c):
+            x, p = _step(x, p, spec, None if draws is None else draws[s])
+            emit(t0 + s + 1, a, b, x, p)
+    return int(np.count_nonzero(~(np.isfinite(x) & np.isfinite(p))))
+
+
+def _advance(x, p, spec: MapSpec, n_steps: int, seed, emit) -> None:
+    """Step the ensemble ``n_steps`` times, calling ``emit(t, a, b, x, p)`` after step t.
+
+    The ensemble is cut into contiguous tiles of at most ``_TILE``
+    trajectories; ``x`` and ``p`` passed to ``emit`` are the new state of
+    trajectories a:b.  Tiles run on one thread per usable CPU (numpy's
+    ufuncs and draws release the GIL), and emit calls of different tiles may
+    interleave.  Every element sees the same arithmetic whatever the tiling,
+    so results do not depend on the number of threads.  Trajectory i of the
+    random variant draws its angles from child i of ``seed``.
+    """
+    seq = None
+    if isinstance(spec, RandomRescaledDoubleKickMap):
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+    def run(tile):
+        # errstate is per thread, so each tile enters its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _advance_tile(x, p, spec, n_steps, seq, *tile, emit)
+
+    n = x.size
+    n_tiles = -(-n // _TILE)
+    workers = min(_usable_cpus(), n_tiles)
+    n_tiles = -(-n_tiles // workers) * workers  # equal shares for the workers
+    bounds = [n * k // n_tiles for k in range(n_tiles + 1)]
+    tiles = list(zip(bounds[:-1], bounds[1:]))
+    if workers == 1:
+        bad = sum(map(run, tiles))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            bad = sum(pool.map(run, tiles))
+    if bad:
+        raise ValueError(f"{bad} of {n} trajectories became non-finite (the map overflowed)")
+
+
+def iterate_ensemble(
+    x0,
+    p0,
+    spec: MapSpec,
+    n_steps: int,
+    record_every: int = 1,
+    seed: int | np.random.SeedSequence | None = None,
+) -> EnsembleStats:
+    """Iterate an ensemble of initial conditions, recording momentum statistics.
+
+    Records step 0 and the final step regardless of ``record_every``.  For the
+    random map variant ``seed`` (an int or a ``SeedSequence``) is required, and
+    trajectory i draws its angles from child i of it:
+    ``SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,))``, the i-th
+    child a fresh ``seq.spawn`` gives.  ``seed`` itself is not advanced, so a
+    seed gives the same streams on every call, whatever the batching.  Raises
+    ``ValueError`` if any trajectory overflows to a non-finite value.
+    """
+    x, p = _ensemble(x0, p0, spec, n_steps, seed)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    random_variant = isinstance(spec, RandomRescaledDoubleKickMap)
-    rngs = None
-    if random_variant:
-        if seed is None:
-            raise ValueError("random map variant requires a seed")
-        rngs = _trajectory_rngs(seed, x.size)
+    steps = [t for t in range(n_steps + 1) if t % record_every == 0 or t == n_steps]
+    row_of = {t: r for r, t in enumerate(steps)}
+    momenta = np.empty((len(steps), x.size))
+    momenta[0] = p
 
-    steps = [0]
-    records = [p.copy()]
-    done = 0
-    while done < n_steps:
-        block = min(chunk, n_steps - done)
-        draws = _draw_block(rngs, block) if random_variant else None
-        for i in range(block):
-            x, p = _step(x, p, spec, draws[i] if random_variant else None)
-            t = done + i + 1
-            if t % record_every == 0 or t == n_steps:
-                steps.append(t)
-                records.append(p.copy())
-        done += block
+    def record(t, a, b, x, p):
+        r = row_of.get(t)
+        if r is not None:
+            momenta[r, a:b] = p
 
-    momenta = np.vstack(records)
+    _advance(x, p, spec, n_steps, seed, record)
     return EnsembleStats(
         steps=np.array(steps),
         mean_p=momenta.mean(axis=1),
@@ -237,35 +309,22 @@ def surface_of_section(
     p0,
     spec: MapSpec,
     n_steps: int,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> np.ndarray:
     """Stroboscopic section points, one per full map period.
 
     Returns an array of shape (n_trajectories, n_steps, 2) whose last axis is
-    (x mod 2*pi, p) recorded after each step.
+    (x mod 2*pi, p) recorded after each step.  Validation and the random
+    variant's streams are those of :func:`iterate_ensemble`.
     """
-    x = np.array(x0, dtype=float).ravel()
-    p = np.array(p0, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("ensemble must contain at least one trajectory")
-    if x.shape != p.shape:
-        raise ValueError("x0 and p0 must have the same length")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-
-    random_variant = isinstance(spec, RandomRescaledDoubleKickMap)
-    rngs = None
-    if random_variant:
-        if seed is None:
-            raise ValueError("random map variant requires a seed")
-        rngs = _trajectory_rngs(seed, x.size)
-        draws = _draw_block(rngs, n_steps)
-
+    x, p = _ensemble(x0, p0, spec, n_steps, seed)
     out = np.empty((x.size, n_steps, 2))
-    for t in range(n_steps):
-        x, p = _step(x, p, spec, draws[t] if random_variant else None)
-        out[:, t, 0] = np.mod(x, TWO_PI)
-        out[:, t, 1] = p
+
+    def record(t, a, b, x, p):
+        out[a:b, t - 1, 0] = np.mod(x, TWO_PI)
+        out[a:b, t - 1, 1] = p
+
+    _advance(x, p, spec, n_steps, seed, record)
     return out
 
 

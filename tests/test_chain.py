@@ -153,6 +153,12 @@ class TestRotorImage:
         scaled = rotor_image(cfg, period=c * t0, b_kick=b).k
         assert scaled == pytest.approx(c * base, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [dict(period=float("nan"), b_kick=0.1),
+                                        dict(period=1.0, b_kick=float("nan"))])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            rotor_image(ChainConfig(n_sites=8, j1=1.0), **kwargs)
+
     def test_rejects_non_ferromagnet(self):
         cfg = ChainConfig(n_sites=8, j1=1.0, model=ChainModel.ANTIFERRO_LINEAR)
         with pytest.raises(ValueError):
@@ -174,5 +180,18 @@ class TestChainConfigValidation:
         ],
     )
     def test_rejects_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            ChainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_sites=8, j1=float("nan")),
+            dict(n_sites=8, j1=1.0, j2=float("nan"), model=ChainModel.NNN_LADDER),
+            dict(n_sites=8, j1=float("nan"), model=ChainModel.ANTIFERRO_LINEAR),
+            dict(n_sites=8, j1=float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_couplings(self, kwargs):
         with pytest.raises(ValueError):
             ChainConfig(**kwargs)

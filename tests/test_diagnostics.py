@@ -49,7 +49,7 @@ class TestDistributionStats:
     def test_rejects_non_finite(self):
         p = np.full(10, 0.1)
         p[3] = np.nan
-        with pytest.raises(ValueError, match="probabilities sum to"):
+        with pytest.raises(ValueError, match="probabilities sum to nan, expected 1"):
             distribution_stats(p, 0)
 
     @given(shift=st.integers(min_value=0, max_value=255))

@@ -274,6 +274,19 @@ class TestScheduleValidation:
             ctor()
 
 
+    @pytest.mark.parametrize(
+        "ctor",
+        [
+            lambda: SingleKick(b_kick=float("nan"), period=float("nan")),
+            lambda: SingleKick(b_kick=0.1, period=float("inf")),
+            lambda: DoubleKick(b_weak=0.1, b_strong=float("nan"), period=1.0),
+            lambda: RandomDoubleKick(b_weak=float("nan"), period=1.0, seed=1),
+        ],
+    )
+    def test_rejects_non_finite(self, ctor):
+        with pytest.raises(ValueError, match="must be finite"):
+            ctor()
+
 class TestEigenstateConsistency:
     def test_magnon_state_acquires_dispersion_phase(self):
         cfg = ChainConfig(n_sites=32, j1=1.0)

@@ -1,10 +1,14 @@
 """Classical map tests: stepping, ensembles, sections, fixed points."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kickedchain.maps as maps_module
 from kickedchain import (
     DoubleKickMap,
     DoubleWellMap,
@@ -146,6 +150,21 @@ class TestIterateEnsemble:
         with pytest.raises(ValueError):
             iterate_ensemble([0.0], [0.0], RandomRescaledDoubleKickMap(k_eps=0.1), 10)
 
+    def test_seed_sequence_reused_gives_same_streams(self):
+        # trajectory i uses child i of the seed, without advancing its spawn counter
+        spec = RandomRescaledDoubleKickMap(k_eps=0.35)
+        ss = np.random.SeedSequence(17)
+        a = iterate_ensemble(np.zeros(6), np.zeros(6), spec, 20, 20, seed=ss)
+        b = iterate_ensemble(np.zeros(6), np.zeros(6), spec, 20, 20, seed=ss)
+        c = iterate_ensemble(np.zeros(6), np.zeros(6), spec, 20, 20, seed=17)
+        np.testing.assert_array_equal(a.momenta, b.momenta)
+        np.testing.assert_array_equal(a.momenta, c.momenta)
+        assert ss.n_children_spawned == 0
+
+    def test_rejects_non_finite_initial_conditions(self):
+        with pytest.raises(ValueError, match="initial conditions must be finite"):
+            iterate_ensemble([0.0, np.nan], [0.0, 0.0], StandardMap(k=1.0), 10)
+
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             iterate_ensemble([], [], StandardMap(k=1.0), 10)
@@ -175,6 +194,27 @@ class TestSurfaceOfSection:
     def test_angles_are_wrapped(self):
         pts = surface_of_section([0.3], [2.9], StandardMap(k=1.5), 500)
         assert np.all(pts[..., 0] >= 0) and np.all(pts[..., 0] < 2 * np.pi)
+
+    def test_random_variant_matches_per_trajectory_streams(self):
+        spec = RandomRescaledDoubleKickMap(k_eps=0.35)
+        n_traj, n_steps, seed = 5, 37, 123
+        pts = surface_of_section(np.zeros(n_traj), np.zeros(n_traj), spec, n_steps, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(n_traj)
+        # bit for bit: the whole ensemble stepped on column-stacked uniform draws
+        draws = np.column_stack(
+            [np.random.default_rng(c).uniform(0.0, 2 * np.pi, size=n_steps) for c in children]
+        )
+        x, p = np.zeros(n_traj), np.zeros(n_traj)
+        for t in range(n_steps):
+            x, p = maps_module._step(x, p, spec, draws[t])
+            np.testing.assert_array_equal(pts[:, t, 0], np.mod(x, 2 * np.pi))
+            np.testing.assert_array_equal(pts[:, t, 1], p)
+        for i in range(n_traj):
+            rng = np.random.default_rng(children[i])
+            x, p = 0.0, 0.0
+            for _ in range(n_steps):
+                x, p = map_step(x, p, spec, rng)
+            assert pts[i, -1, 1] == pytest.approx(p, abs=1e-12)
 
     def test_double_well_island_chains(self):
         # ferromagnetic pairing confines orbits near x = 0; the mixed-sign
@@ -243,3 +283,105 @@ class TestEnsembleCap:
         n = MAX_ENSEMBLE + 1
         with pytest.raises(ValueError, match="cap"):
             iterate_ensemble(np.zeros(n), np.zeros(n), StandardMap(k=1.0), 1)
+
+    def test_section_rejects_oversized_ensemble(self):
+        # checked before the (n, n_steps, 2) output is allocated
+        from kickedchain.maps import MAX_ENSEMBLE
+
+        n = MAX_ENSEMBLE + 1
+        with pytest.raises(ValueError, match="cap"):
+            surface_of_section(np.zeros(n), np.zeros(n), StandardMap(k=1.0), 10**9)
+
+    def test_section_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="n_steps"):
+            surface_of_section([0.0], [0.0], StandardMap(k=1.0), 0)
+
+
+class TestMapValidation:
+    @pytest.mark.parametrize(
+        "ctor",
+        [
+            lambda: DoubleKickMap(k=0.8, eps=float("nan"), tau=2.0),
+            lambda: DoubleKickMap(k=0.8, eps=0.05, tau=float("nan")),
+            lambda: RescaledDoubleKickMap(k_eps=0.35, tau_eps=float("nan")),
+        ],
+    )
+    def test_rejects_nan_drifts(self, ctor):
+        with pytest.raises(ValueError, match="must be > 0"):
+            ctor()
+
+
+ALL_SPECS = DETERMINISTIC_SPECS + [RandomRescaledDoubleKickMap(k_eps=0.35)]
+
+
+def _use_small_tiles(monkeypatch):
+    """Cut 10 trajectories into four tiles of 2-3 on a two-thread pool, with
+    draw chunks of 2-3 steps; return the list of tiles stepped."""
+    tiles = []
+    advance_tile = maps_module._advance_tile
+
+    def spy(x, p, spec, n_steps, seq, a, b, emit):
+        tiles.append((a, b))
+        return advance_tile(x, p, spec, n_steps, seq, a, b, emit)
+
+    monkeypatch.setattr(maps_module, "_TILE", 3)
+    monkeypatch.setattr(maps_module, "_DRAW_BUDGET", 8 * 6)
+    monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(maps_module, "_advance_tile", spy)
+    return tiles
+
+
+class TestEngine:
+    """The tiled, threaded stepping engine behind both ensemble front-ends."""
+
+    @staticmethod
+    def _initials():
+        rng = np.random.default_rng(4)
+        return rng.uniform(0, 2 * np.pi, 10), rng.normal(size=10)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_tiling_is_bit_identical(self, spec, monkeypatch):
+        x0, p0 = self._initials()
+        ens = iterate_ensemble(x0, p0, spec, 37, 5, seed=9)
+        sos = surface_of_section(x0, p0, spec, 37, seed=9)
+        tiles = _use_small_tiles(monkeypatch)
+        tiled_ens = iterate_ensemble(x0, p0, spec, 37, 5, seed=9)
+        tiled_sos = surface_of_section(x0, p0, spec, 37, seed=9)
+        assert sorted(set(tiles)) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+        for field in ("steps", "mean_p", "var_p", "momenta"):
+            np.testing.assert_array_equal(getattr(tiled_ens, field), getattr(ens, field))
+        np.testing.assert_array_equal(tiled_sos, sos)
+
+    def test_more_threads_than_cores_lose_no_writes(self, monkeypatch):
+        # 32 tiles on 16 threads, switching every microsecond: every tile must
+        # land in its own slice of the shared outputs
+        spec = RandomRescaledDoubleKickMap(k_eps=0.35)
+        x0, p0 = np.zeros(50), np.linspace(-1.0, 1.0, 50)
+        ens = iterate_ensemble(x0, p0, spec, 200, 7, seed=3)
+        sos = surface_of_section(x0, p0, spec, 200, seed=3)
+        monkeypatch.setattr(maps_module, "_TILE", 3)
+        monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tiled_ens = iterate_ensemble(x0, p0, spec, 200, 7, seed=3)
+            tiled_sos = surface_of_section(x0, p0, spec, 200, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(tiled_ens.momenta, ens.momenta)
+        np.testing.assert_array_equal(tiled_sos, sos)
+
+    def test_overflow_raises_without_warnings(self, monkeypatch):
+        # numpy's error state is per thread, so every tile must set its own
+        tiles = _use_small_tiles(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="10 of 10 trajectories became non-finite"):
+                iterate_ensemble(np.zeros(10), np.full(10, 1e308), StandardMap(k=1e308), 5)
+        assert len(tiles) == 4
+
+    def test_partial_overflow_counts_trajectories(self):
+        p0 = np.zeros(6)
+        p0[[1, 4]] = 1e308
+        with pytest.raises(ValueError, match="2 of 6 trajectories"):
+            surface_of_section(np.zeros(6), p0, StandardMap(k=1e308), 3)

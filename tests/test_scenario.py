@@ -457,6 +457,28 @@ class TestCli:
             _write_report(tmp_path / "r.json", cfg, {"variance": float("nan")})
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_map_exits_1_without_warnings(self, tmp_path):
+        cfg = {
+            "scenario": "classical_map",
+            "seed": 1,
+            "output": str(tmp_path / "ovf"),
+            "map": {"variant": "standard", "k": 1e308},
+            "initial": {"uniform_x": {"n_trajectories": 5, "p0": 1e308}},
+            "n_steps": 10,
+            "record_every": 5,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "kickedchain.cli", "run", "--config", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert "5 of 5 trajectories became non-finite" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert not list(tmp_path.glob("ovf_*"))
+
     def test_cli_import_skips_scipy_optimize(self):
         code = "import sys, kickedchain.cli; print('scipy.optimize' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
