@@ -3,13 +3,13 @@
 One period of the pulsed chain is free exchange evolution followed by an
 instantaneous parabolic-field kick.  The exchange step is diagonal in the
 magnon (wavenumber) basis and is applied by FFT; kicks are diagonal phases in
-the site basis.  ``build_floquet`` assembles the same one-period operator as
-an explicit dense matrix by direct kernel summation, deliberately avoiding
-the FFT path, so the two routes can check each other.
-
-``qkr_evolve`` runs the one-body image instead: a kicked rotor in a truncated
-momentum basis, with the roles of the two steps swapped (free rotation is
-diagonal in momentum, the cosine kick is diagonal in angle).
+the site basis.  ``qkr_evolve`` runs the one-body image instead: a kicked
+rotor in a truncated momentum basis, with the roles of the two bases swapped
+(free rotation is diagonal in momentum, the cosine kick is diagonal in
+angle).  Both are the same split-operator step, run by one engine.
+``build_floquet`` assembles the chain's one-period operator as a dense matrix
+by direct kernel summation, deliberately avoiding the FFT path, so the two
+routes can check each other.
 """
 
 from __future__ import annotations
@@ -18,24 +18,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
-from .chain import ChainConfig, dispersion, wavenumber_grid
+from ._limits import check_result_bytes
+from .chain import ChainConfig, delta_state, dispersion, wavenumber_grid
 
 __all__ = [
-    "SingleKick",
-    "DoubleKick",
-    "RandomDoubleKick",
-    "KickSchedule",
-    "PropagationRecord",
-    "apply_exchange",
-    "apply_parabolic_kick",
-    "apply_random_kick",
-    "evolve",
-    "build_floquet",
-    "qkr_evolve",
-    "MAX_TRANSFORM_SITES",
-    "MAX_DENSE_SITES",
+    "SingleKick", "DoubleKick", "RandomDoubleKick", "KickSchedule", "PropagationRecord",
+    "apply_exchange", "apply_parabolic_kick", "evolve", "build_floquet", "qkr_evolve",
+    "MAX_TRANSFORM_SITES", "MAX_DENSE_SITES",
 ]
 
 # Resource caps for the two propagation routes.
@@ -123,6 +113,18 @@ class PropagationRecord:
         return self.snapshots[-1][1]
 
 
+def _exchange_phases(config: ChainConfig, period: float) -> np.ndarray:
+    """exp(-i * dispersion(k) * period) on the FFT's wavenumber order."""
+    k = 2.0 * np.pi * np.fft.fftfreq(config.n_sites)
+    return np.exp(-1j * dispersion(config, k) * period)
+
+
+def _parabola(strength: float, n: int, center: int) -> np.ndarray:
+    """Site phases exp(-i * strength/2 * (s - center)^2) of a parabolic kick."""
+    d = np.arange(n) - center
+    return np.exp(-0.5j * strength * d * d)
+
+
 def apply_exchange(state: np.ndarray, config: ChainConfig, period: float) -> np.ndarray:
     """Free exchange evolution for one period, applied in the magnon basis.
 
@@ -131,9 +133,7 @@ def apply_exchange(state: np.ndarray, config: ChainConfig, period: float) -> np.
     """
     if len(state) != config.n_sites:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
-    k = 2.0 * np.pi * np.fft.fftfreq(config.n_sites)
-    phases = np.exp(-1j * dispersion(config, k) * period)
-    return np.fft.ifft(np.fft.fft(state) * phases)
+    return np.fft.ifft(np.fft.fft(state) * _exchange_phases(config, period))
 
 
 def apply_parabolic_kick(state: np.ndarray, strength: float, center: int) -> np.ndarray:
@@ -141,36 +141,62 @@ def apply_parabolic_kick(state: np.ndarray, strength: float, center: int) -> np.
     n = len(state)
     if not 0 <= center < n:
         raise ValueError(f"center must lie in [0, {n}), got {center}")
-    d = np.arange(n) - center
-    return state * np.exp(-0.5j * strength * d * d)
-
-
-def apply_random_kick(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multiply each amplitude by exp(-i*beta), beta ~ U[0, 2*pi) per site.
-
-    Draws are consumed from ``rng``, so repeated calls give fresh phases while
-    a fixed generator state gives bit-identical output.
-    """
-    beta = rng.uniform(0.0, 2.0 * np.pi, size=len(state))
-    return state * np.exp(-1j * beta)
+    return state * _parabola(strength, n, center)
 
 
 def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray]:
     """Per-period list of diagonal kick phase arrays, in application order."""
-    d = np.arange(n) - center
-
-    def para(b):
-        return np.exp(-0.5j * b * d * d)
-
     if isinstance(schedule, SingleKick):
-        return [para(schedule.b_kick)]
+        return [_parabola(schedule.b_kick, n, center)]
     if isinstance(schedule, DoubleKick):
-        return [para(schedule.b_weak), para(schedule.b_strong)]
+        return [_parabola(schedule.b_weak, n, center), _parabola(schedule.b_strong, n, center)]
     if isinstance(schedule, RandomDoubleKick):
         rng = np.random.default_rng(schedule.seed)
         frozen = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-        return [para(schedule.b_weak), frozen]
+        return [_parabola(schedule.b_weak, n, center), frozen]
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+
+
+def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
+    """Check a propagation's sizes against the caps before anything is built."""
+    if n > MAX_TRANSFORM_SITES:
+        raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
+    if n_periods < 0:
+        raise ValueError("n_periods must be >= 0")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    n_snapshots = 1 + n_periods // snapshot_every + (n_periods % snapshot_every > 0)
+    check_result_bytes(8 * n * n_snapshots, f"{n_snapshots} snapshots of {n} probabilities")
+
+
+def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
+    """Run ``n_periods`` periods of split-operator ``steps`` on ``amps``.
+
+    A period runs each step ``(before, between, after)`` in order: multiply by
+    ``before`` (own basis, or None), transform by ``forward`` ("fft" or
+    "ifft"), multiply by ``between`` (conjugate basis), transform back,
+    multiply by ``after`` (own basis, or None).  Returns the record and the
+    largest |amps[0]|**2 + |amps[-1]|**2 of any period.
+    """
+    # imported here: scipy.fft is most of the package's import time, and
+    # validation and the classical maps never transform
+    from scipy import fft
+
+    fwd, inv = (fft.fft, fft.ifft) if forward == "fft" else (fft.ifft, fft.fft)
+    prob = np.abs(amps) ** 2
+    snapshots = [(0, prob)]
+    max_edge = float(prob[0] + prob[-1])
+    for t in range(1, n_periods + 1):
+        for before, between, after in steps:
+            if before is not None:
+                amps = amps * before
+            amps = inv(fwd(amps) * between)
+            if after is not None:
+                amps = amps * after
+        max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
+        if t % snapshot_every == 0 or t == n_periods:
+            snapshots.append((t, np.abs(amps) ** 2))
+    return PropagationRecord(snapshots=snapshots, final_state=amps), max_edge
 
 
 def evolve(
@@ -190,26 +216,12 @@ def evolve(
     n = config.n_sites
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
-    if n > MAX_TRANSFORM_SITES:
-        raise ValueError(f"n_sites {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
-    if n_periods < 0:
-        raise ValueError("n_periods must be >= 0")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    _check_run(n, n_periods, snapshot_every)
 
-    k = 2.0 * np.pi * np.fft.fftfreq(n)
-    exchange_phases = np.exp(-1j * dispersion(config, k) * schedule.period)
-    kicks = _kick_phases(schedule, n, config.kick_center)
-
+    exchange = _exchange_phases(config, schedule.period)
+    steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
     amps = np.array(state, dtype=complex, copy=True)
-    snapshots = [(0, np.abs(amps) ** 2)]
-    for t in range(1, n_periods + 1):
-        for kick in kicks:
-            amps = fft.ifft(fft.fft(amps) * exchange_phases)
-            amps = amps * kick
-        if t % snapshot_every == 0 or t == n_periods:
-            snapshots.append((t, np.abs(amps) ** 2))
-    return PropagationRecord(snapshots=snapshots, final_state=amps)
+    return _split_step(amps, steps, "fft", n_periods, snapshot_every)[0]
 
 
 def build_floquet(config: ChainConfig, schedule: KickSchedule, max_dense: int = MAX_DENSE_SITES) -> np.ndarray:
@@ -251,37 +263,24 @@ def qkr_evolve(
     ``initial_momentum``; distributions are indexed by array position
     a = 0..n_basis-1, i.e. momentum l = initial_momentum + a - n_basis//2.
     Per period: free rotation exp(-i*hbar/2*l^2), then the cosine kick of
-    strength k applied on the angle grid.  If recorded edge probability
-    exceeds 1e-6 a truncation-leakage warning is attached to the record.
+    strength k applied on the angle grid.  If the edge probability exceeds
+    1e-6 after any period, recorded or not, a truncation-leakage warning is
+    attached to the record.
     """
     if n_basis < 2:
         raise ValueError("n_basis must be >= 2")
     if hbar <= 0:
         raise ValueError("hbar must be > 0")
-    if n_periods < 0:
-        raise ValueError("n_periods must be >= 0")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    _check_run(n_basis, n_periods, snapshot_every)
 
     l = initial_momentum + np.arange(n_basis) - n_basis // 2
     free_phases = np.exp(-0.5j * hbar * l.astype(float) ** 2)
     x = 2.0 * np.pi * np.arange(n_basis) / n_basis
     kick_phases = np.exp(1j * (k / hbar) * np.cos(x))
 
-    amps = np.zeros(n_basis, dtype=complex)
-    amps[n_basis // 2] = 1.0
-    prob = np.abs(amps) ** 2
-    snapshots = [(0, prob)]
-    max_edge = float(prob[0] + prob[-1])
-    for t in range(1, n_periods + 1):
-        amps = amps * free_phases
-        amps = fft.fft(fft.ifft(amps) * kick_phases)
-        if t % snapshot_every == 0 or t == n_periods:
-            prob = np.abs(amps) ** 2
-            snapshots.append((t, prob))
-            max_edge = max(max_edge, float(prob[0] + prob[-1]))
-
-    record = PropagationRecord(snapshots=snapshots, final_state=amps)
+    steps = [(free_phases, kick_phases, None)]
+    amps = delta_state(n_basis, n_basis // 2)
+    record, max_edge = _split_step(amps, steps, "ifft", n_periods, snapshot_every)
     if max_edge > QKR_LEAK_THRESHOLD:
         record.warnings.append(
             f"momentum-basis truncation leakage: edge probability {max_edge:.3e} "

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._limits import check_result_bytes
+
 __all__ = [
     "StandardMap",
     "DoubleKickMap",
@@ -285,7 +287,11 @@ def iterate_ensemble(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    steps = [t for t in range(n_steps + 1) if t % record_every == 0 or t == n_steps]
+    n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
+    check_result_bytes(8 * n_rows * x.size, f"{n_rows} records of {x.size} momenta")
+    steps = list(range(0, n_steps + 1, record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
     row_of = {t: r for r, t in enumerate(steps)}
     momenta = np.empty((len(steps), x.size))
     momenta[0] = p
@@ -318,6 +324,7 @@ def surface_of_section(
     variant's streams are those of :func:`iterate_ensemble`.
     """
     x, p = _ensemble(x0, p0, spec, n_steps, seed)
+    check_result_bytes(16 * x.size * n_steps, f"a section of {x.size} x {n_steps} points")
     out = np.empty((x.size, n_steps, 2))
 
     def record(t, a, b, x, p):

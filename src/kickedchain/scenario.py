@@ -85,11 +85,19 @@ def _keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}: unknown field '{key}'")
 
 
+def _to_float(v) -> float:
+    """float(v), reading an integer beyond the float range as inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _number(obj, path, key, minimum=None, exclusive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    v = float(v)
+    v = _to_float(v)
     if not math.isfinite(v):
         raise ConfigError(f"{path}.{key}: must be finite")
     if minimum is not None and (v <= minimum if exclusive else v < minimum):
@@ -177,7 +185,9 @@ def _validate_classical_initial(obj, path):
                 not isinstance(pt, list)
                 or len(pt) != 2
                 or any(
-                    isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c)
+                    isinstance(c, bool)
+                    or not isinstance(c, (int, float))
+                    or not math.isfinite(_to_float(c))
                     for c in pt
                 )
             ):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+import kickedchain._limits as limits
 from kickedchain import (
     ChainConfig,
     DoubleKick,
@@ -12,7 +13,6 @@ from kickedchain import (
     SingleKick,
     apply_exchange,
     apply_parabolic_kick,
-    apply_random_kick,
     build_floquet,
     delta_state,
     evolve,
@@ -91,26 +91,6 @@ class TestApplyParabolicKick:
         psi = random_state(64, seed=9)
         out = apply_parabolic_kick(psi, 2.3, 31)
         np.testing.assert_allclose(np.abs(out), np.abs(psi), rtol=0, atol=1e-15)
-
-
-class TestApplyRandomKick:
-    def test_norm_and_moduli_invariant(self):
-        psi = random_state(64, seed=1)
-        out = apply_random_kick(psi, np.random.default_rng(5))
-        np.testing.assert_allclose(np.abs(out), np.abs(psi), atol=1e-15)
-
-    def test_deterministic_given_seed(self):
-        psi = random_state(64, seed=1)
-        a = apply_random_kick(psi, np.random.default_rng(123))
-        b = apply_random_kick(psi, np.random.default_rng(123))
-        np.testing.assert_array_equal(a, b)
-
-    def test_fresh_draws_per_invocation(self):
-        psi = random_state(64, seed=1)
-        rng = np.random.default_rng(123)
-        a = apply_random_kick(psi, rng)
-        b = apply_random_kick(psi, rng)
-        assert not np.allclose(a, b)
 
 
 class TestEvolve:
@@ -257,6 +237,40 @@ class TestQkrEvolve:
     def test_no_leakage_warning_when_contained(self):
         rec = qkr_evolve(0, k=1.0, hbar=1.0, n_periods=5, n_basis=256)
         assert rec.warnings == []
+
+    def test_leak_between_snapshots_flagged(self):
+        # hbar = 2*pi is the antiresonance: free rotation shifts the angle by
+        # pi, so the second kick undoes the first.  Period 1 spreads the state
+        # to the basis edge and period 2 refocuses it, so both recorded
+        # snapshots look contained; only the per-period check sees the leak.
+        rec = qkr_evolve(
+            0, k=12 * np.pi, hbar=2 * np.pi, n_periods=2, n_basis=16, snapshot_every=2
+        )
+        assert [t for t, _ in rec.snapshots] == [0, 2]
+        assert max(p[0] + p[-1] for _, p in rec.snapshots) < 1e-6
+        assert any("leakage" in w for w in rec.warnings)
+
+
+class TestResultCap:
+    # 10 periods every 4 record periods 0, 4, 8 and 10: 4 snapshots
+    def test_evolve_snapshots_checked_before_propagating(self, monkeypatch):
+        cfg = ChainConfig(n_sites=16, j1=1.0)
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 16 * 8)
+        assert len(evolve(delta_state(16, 8), cfg, SingleKick(0.1, 1.0), 10, 4).snapshots) == 4
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 16 * 8 - 1)
+        with pytest.raises(ValueError, match="4 snapshots of 16 probabilities.*result cap"):
+            evolve(delta_state(16, 8), cfg, SingleKick(0.1, 1.0), 10, 4)
+
+    def test_qkr_snapshots_checked_before_propagating(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 32 * 8)
+        assert len(qkr_evolve(0, 1.0, 1.0, 10, 32, 4).snapshots) == 4
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 32 * 8 - 1)
+        with pytest.raises(ValueError, match="result cap"):
+            qkr_evolve(0, 1.0, 1.0, 10, 32, 4)
+
+    def test_qkr_transform_cap(self):
+        with pytest.raises(ValueError, match="transform cap"):
+            qkr_evolve(0, 1.0, 1.0, 1, 2**20 + 2)
 
 
 class TestScheduleValidation:

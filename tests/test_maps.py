@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kickedchain._limits as limits
 import kickedchain.maps as maps_module
 from kickedchain import (
     DoubleKickMap,
@@ -295,6 +296,25 @@ class TestEnsembleCap:
     def test_section_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="n_steps"):
             surface_of_section([0.0], [0.0], StandardMap(k=1.0), 0)
+
+
+class TestResultCap:
+    # each result is allowed at exactly its size and refused one byte below it
+    def test_section_points(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 3 * 10 * 16)
+        assert surface_of_section(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10).shape == (3, 10, 2)
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 3 * 10 * 16 - 1)
+        with pytest.raises(ValueError, match="section of 3 x 10 points.*result cap"):
+            surface_of_section(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10)
+
+    def test_record_array(self, monkeypatch):
+        # 10 steps every 4 record steps 0, 4, 8 and 10
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 3 * 8)
+        stats = iterate_ensemble(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10, 4)
+        assert stats.steps.tolist() == [0, 4, 8, 10]
+        monkeypatch.setattr(limits, "MAX_RESULT_BYTES", 4 * 3 * 8 - 1)
+        with pytest.raises(ValueError, match="4 records of 3 momenta.*result cap"):
+            iterate_ensemble(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10, 4)
 
 
 class TestMapValidation:

@@ -133,6 +133,8 @@ class TestValidation:
             ("chain", "j1", float("nan")),
             ("schedule", "period", float("inf")),
             ("schedule", "b_kick", float("-inf")),
+            # an integer literal beyond the float range
+            pytest.param("chain", "j1", 10**400, id="chain-j1-huge-int"),
         ],
     )
     def test_non_finite_number_names_field(self, tmp_path, section, key, value):
@@ -159,6 +161,9 @@ class TestValidation:
             "initial": {"points": [[0.0, 0.0], [float("nan"), 0.5]]},
             "n_steps": 10,
         }
+        with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
+            validate_config(cfg)
+        cfg["initial"]["points"][1] = [10**400, 0.5]
         with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
             validate_config(cfg)
 
@@ -479,13 +484,51 @@ class TestCli:
         assert "RuntimeWarning" not in out.stderr
         assert not list(tmp_path.glob("ovf_*"))
 
-    def test_cli_import_skips_scipy_optimize(self):
-        code = "import sys, kickedchain.cli; print('scipy.optimize' in sys.modules)"
+    def test_oversized_section_exits_1_without_output(self, tmp_path, capsys):
+        # one trajectory of 10**13 steps is 160 TB of points, refused before allocation
+        cfg = {
+            "scenario": "surface_of_section",
+            "seed": 1,
+            "output": str(tmp_path / "big"),
+            "map": {"variant": "standard", "k": 1.0},
+            "initial": {"points": [[0.0, 0.5]]},
+            "n_steps": 10**13,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "error: a section of 1 x 10000000000000 points" in capsys.readouterr().err
+        assert not list(tmp_path.glob("big_*"))
+
+    def test_cli_import_skips_scipy_optimize(self, tmp_path):
+        # scipy.fft is loaded by the first propagation and scipy.optimize by
+        # fixed_point_stability; importing the CLI, validating and a classical
+        # run load no scipy module at all
+        section = tmp_path / "sos.json"
+        section.write_text(json.dumps({
+            "scenario": "surface_of_section",
+            "seed": 1,
+            "output": str(tmp_path / "sos"),
+            "map": {"variant": "double_well", "k1": 0.35, "k2": 0.35},
+            "initial": {"points": [[0.5, 0.1], [2.0, -0.2]]},
+            "n_steps": 20,
+        }))
+        valid = CONFIG_DIR / "trapping_center.json"
+        steps = [
+            "import kickedchain.cli",
+            f"from kickedchain.cli import main; assert main(['validate', '--config', {str(valid)!r}]) == 0",
+            f"from kickedchain.cli import main; assert main(['run', '--config', {str(section)!r}]) == 0",
+        ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+        for step in steps:
+            code = (
+                f"import sys\n{step}\n"
+                "print('scipy.optimize' in sys.modules, [m for m in sys.modules if m.startswith('scipy')])"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            assert out.stdout.splitlines()[-1] == "False []", step
 
 
 class TestBundledRuns:
