@@ -269,8 +269,10 @@ def qkr_evolve(
     """
     if n_basis < 2:
         raise ValueError("n_basis must be >= 2")
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
     _check_run(n_basis, n_periods, snapshot_every)
 
     l = initial_momentum + np.arange(n_basis) - n_basis // 2

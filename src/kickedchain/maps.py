@@ -169,6 +169,11 @@ class EnsembleStats:
     momenta: np.ndarray
 
 
+def _check_ensemble_size(n: int) -> None:
+    if n > MAX_ENSEMBLE:
+        raise ValueError(f"ensemble size {n} exceeds cap {MAX_ENSEMBLE}")
+
+
 def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed):
     """Validated float copies of the initial conditions, checked before any work."""
     x = np.array(x0, dtype=float).ravel()
@@ -177,8 +182,7 @@ def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed):
         raise ValueError("ensemble must contain at least one trajectory")
     if x.shape != p.shape:
         raise ValueError("x0 and p0 must have the same length")
-    if x.size > MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size {x.size} exceeds cap {MAX_ENSEMBLE}")
+    _check_ensemble_size(x.size)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not (np.isfinite(x).all() and np.isfinite(p).all()):

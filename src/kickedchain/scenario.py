@@ -9,15 +9,17 @@ seed, and the package version, and is byte-reproducible for a fixed config.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings as _warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .chain import ChainConfig, delta_state, magnon_state
+from .chain import ChainConfig, ChainModel, delta_state, magnon_state
 from .diagnostics import (
     DistributionReport,
     cell_occupancy,
@@ -29,6 +31,7 @@ from .evolution import (
     DoubleKick,
     RandomDoubleKick,
     SingleKick,
+    _check_run,
     evolve,
     qkr_evolve,
 )
@@ -39,30 +42,31 @@ from .maps import (
     RandomRescaledDoubleKickMap,
     RescaledDoubleKickMap,
     StandardMap,
+    _check_ensemble_size,
     iterate_ensemble,
     surface_of_section,
 )
 
 __all__ = ["ConfigError", "validate_config", "run_scenario", "SCENARIOS"]
 
-SCENARIOS = (
-    "single_kick",
-    "double_kick",
-    "double_kick_random",
-    "qkr",
-    "classical_map",
-    "surface_of_section",
-    "feasibility",
-)
-
-CHAIN_MODELS = ("ferromagnet", "nnn_ladder", "antiferro_linear")
-MAP_VARIANTS = (
-    "standard",
-    "double_kick",
-    "rescaled_double_kick",
-    "rescaled_double_kick_random",
-    "double_well",
-)
+CHAIN_MODELS = tuple(model.value for model in ChainModel)
+# The schedule and map dataclasses a config section is built from; their
+# fields are the section's fields.
+_SCHEDULES = {
+    "single_kick": SingleKick,
+    "double_kick": DoubleKick,
+    "double_kick_random": RandomDoubleKick,
+}
+_MAPS = {
+    "standard": StandardMap,
+    "double_kick": DoubleKickMap,
+    "rescaled_double_kick": RescaledDoubleKickMap,
+    "rescaled_double_kick_random": RandomRescaledDoubleKickMap,
+    "double_well": DoubleWellMap,
+}
+# The one hand-kept rule on those fields: these durations must be > 0;
+# schedule strengths must be >= 0 and map strengths are unbounded.
+_DURATIONS = ("period", "eps", "tau", "tau_eps")
 
 
 class ConfigError(ValueError):
@@ -126,6 +130,21 @@ def _string(obj, path, key, choices=None):
     return v
 
 
+def _spec(obj, path, cls, minimum, lead=()):
+    """The number fields of dataclass ``cls``, strengths bounded by ``minimum``.
+
+    A ``seed`` field is not read here: it is the config's top-level seed.
+    """
+    names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "seed")
+    _keys(obj, path, required=lead + names)
+    return {
+        key: _number(obj, path, key, 0.0, exclusive=True)
+        if key in _DURATIONS
+        else _number(obj, path, key, minimum)
+        for key in names
+    }
+
+
 def _validate_chain(obj, path):
     obj = _object(obj, path)
     _keys(obj, path, required=("n_sites", "j1"), optional=("j2", "kick_center", "model"))
@@ -138,7 +157,7 @@ def _validate_chain(obj, path):
         "model": _string(obj, path, "model", CHAIN_MODELS) if "model" in obj else "ferromagnet",
     }
     try:
-        _chain_from(out)
+        ChainConfig(**out)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return out
@@ -158,20 +177,8 @@ def _validate_map(obj, path):
     obj = _object(obj, path)
     if "variant" not in obj:
         raise ConfigError(f"{path}: missing required field 'variant'")
-    variant = _string(obj, path, "variant", MAP_VARIANTS)
-    fields = {
-        "standard": ("k",),
-        "double_kick": ("k", "eps", "tau"),
-        "rescaled_double_kick": ("k_eps", "tau_eps"),
-        "rescaled_double_kick_random": ("k_eps",),
-        "double_well": ("k1", "k2"),
-    }[variant]
-    _keys(obj, path, required=("variant",) + fields)
-    out = {"variant": variant}
-    for key in fields:
-        exclusive = key in ("eps", "tau", "tau_eps")
-        out[key] = _number(obj, path, key, minimum=0.0 if exclusive else None, exclusive=exclusive)
-    return out
+    variant = _string(obj, path, "variant", tuple(_MAPS))
+    return {"variant": variant, **_spec(obj, path, _MAPS[variant], None, lead=("variant",))}
 
 
 def _validate_classical_initial(obj, path):
@@ -208,6 +215,48 @@ def _validate_classical_initial(obj, path):
     raise ConfigError(f"{path}: expected exactly one of 'points' or 'uniform_x'")
 
 
+def _validate_chain_run(raw, out):
+    chain = _validate_chain(raw["chain"], "config.chain")
+    sched = _object(raw["schedule"], "config.schedule")
+    out["schedule"] = _spec(sched, "config.schedule", _SCHEDULES[out["scenario"]], 0.0)
+    out["chain"] = chain
+    out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
+    out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
+    out["initial"] = _validate_initial(raw["initial"], "config.initial", chain["n_sites"])
+
+
+def _validate_qkr(raw, out):
+    rotor = _object(raw["rotor"], "config.rotor")
+    _keys(rotor, "config.rotor", required=("k", "hbar", "n_basis", "initial_momentum"))
+    out["rotor"] = {
+        "k": _number(rotor, "config.rotor", "k"),
+        "hbar": _number(rotor, "config.rotor", "hbar", minimum=0.0, exclusive=True),
+        "n_basis": _integer(rotor, "config.rotor", "n_basis", minimum=2),
+        "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum"),
+    }
+    out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
+    out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
+
+
+def _validate_classical(raw, out):
+    out["map"] = _validate_map(raw["map"], "config.map")
+    out["initial"] = _validate_classical_initial(raw["initial"], "config.initial")
+    out["n_steps"] = _integer(raw, "config", "n_steps", minimum=1)
+    if "record_every" in raw:  # required by classical_map, unknown to surface_of_section
+        out["record_every"] = _integer(raw, "config", "record_every", minimum=1)
+
+
+def _validate_feasibility(raw, out):
+    out["b_range_au"] = _number(raw, "config", "b_range_au", minimum=0.0)
+    out["n_sites"] = _integer(raw, "config", "n_sites", minimum=1)
+    out["j_hz"] = _number(raw, "config", "j_hz", minimum=0.0, exclusive=True)
+    out["t0_seconds"] = (
+        _number(raw, "config", "t0_seconds", minimum=0.0, exclusive=True)
+        if "t0_seconds" in raw
+        else 1e-6
+    )
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict and return it with defaults resolved.
 
@@ -218,93 +267,17 @@ def validate_config(raw: dict) -> dict:
     if "scenario" not in raw:
         raise ConfigError("config: missing required field 'scenario'")
     scenario = _string(raw, "config", "scenario", SCENARIOS)
-
+    entry = _REGISTRY[scenario]
     common = ("scenario", "seed", "output")
-    per_scenario = {
-        "single_kick": ("chain", "schedule", "n_periods", "snapshot_every", "initial"),
-        "double_kick": ("chain", "schedule", "n_periods", "snapshot_every", "initial"),
-        "double_kick_random": ("chain", "schedule", "n_periods", "snapshot_every", "initial"),
-        "qkr": ("rotor", "n_periods", "snapshot_every"),
-        "classical_map": ("map", "initial", "n_steps", "record_every"),
-        "surface_of_section": ("map", "initial", "n_steps"),
-        "feasibility": ("b_range_au", "n_sites", "j_hz"),
-    }
-    optional = {"feasibility": ("t0_seconds",)}.get(scenario, ())
-    _keys(raw, "config", required=common + per_scenario[scenario], optional=optional)
+    _keys(raw, "config", required=common + entry.fields, optional=entry.optional)
 
     out = {
         "scenario": scenario,
         "seed": _integer(raw, "config", "seed", minimum=0, maximum=2**64 - 1),
         "output": _string(raw, "config", "output"),
     }
-
-    if scenario in ("single_kick", "double_kick", "double_kick_random"):
-        chain = _validate_chain(raw["chain"], "config.chain")
-        sched = _object(raw["schedule"], "config.schedule")
-        fields = {
-            "single_kick": ("b_kick", "period"),
-            "double_kick": ("b_weak", "b_strong", "period"),
-            "double_kick_random": ("b_weak", "period"),
-        }[scenario]
-        _keys(sched, "config.schedule", required=fields)
-        out["schedule"] = {
-            key: _number(sched, "config.schedule", key, minimum=0.0, exclusive=(key == "period"))
-            for key in fields
-        }
-        out["chain"] = chain
-        out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
-        out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
-        out["initial"] = _validate_initial(raw["initial"], "config.initial", chain["n_sites"])
-    elif scenario == "qkr":
-        rotor = _object(raw["rotor"], "config.rotor")
-        _keys(rotor, "config.rotor", required=("k", "hbar", "n_basis", "initial_momentum"))
-        out["rotor"] = {
-            "k": _number(rotor, "config.rotor", "k"),
-            "hbar": _number(rotor, "config.rotor", "hbar", minimum=0.0, exclusive=True),
-            "n_basis": _integer(rotor, "config.rotor", "n_basis", minimum=2),
-            "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum"),
-        }
-        out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
-        out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
-    elif scenario in ("classical_map", "surface_of_section"):
-        out["map"] = _validate_map(raw["map"], "config.map")
-        out["initial"] = _validate_classical_initial(raw["initial"], "config.initial")
-        out["n_steps"] = _integer(raw, "config", "n_steps", minimum=1)
-        if scenario == "classical_map":
-            out["record_every"] = _integer(raw, "config", "record_every", minimum=1)
-    else:  # feasibility
-        out["b_range_au"] = _number(raw, "config", "b_range_au", minimum=0.0)
-        out["n_sites"] = _integer(raw, "config", "n_sites", minimum=1)
-        out["j_hz"] = _number(raw, "config", "j_hz", minimum=0.0, exclusive=True)
-        out["t0_seconds"] = (
-            _number(raw, "config", "t0_seconds", minimum=0.0, exclusive=True)
-            if "t0_seconds" in raw
-            else 1e-6
-        )
+    entry.validate(raw, out)
     return out
-
-
-def _chain_from(chain_cfg: dict) -> ChainConfig:
-    return ChainConfig(
-        n_sites=chain_cfg["n_sites"],
-        j1=chain_cfg["j1"],
-        j2=chain_cfg["j2"],
-        kick_center=chain_cfg["kick_center"],
-        model=chain_cfg["model"],
-    )
-
-
-def _map_from(map_cfg: dict):
-    variant = map_cfg["variant"]
-    if variant == "standard":
-        return StandardMap(k=map_cfg["k"])
-    if variant == "double_kick":
-        return DoubleKickMap(k=map_cfg["k"], eps=map_cfg["eps"], tau=map_cfg["tau"])
-    if variant == "rescaled_double_kick":
-        return RescaledDoubleKickMap(k_eps=map_cfg["k_eps"], tau_eps=map_cfg["tau_eps"])
-    if variant == "rescaled_double_kick_random":
-        return RandomRescaledDoubleKickMap(k_eps=map_cfg["k_eps"])
-    return DoubleWellMap(k1=map_cfg["k1"], k2=map_cfg["k2"])
 
 
 def _classical_initials(initial_cfg: dict, rng: np.random.Generator):
@@ -313,6 +286,7 @@ def _classical_initials(initial_cfg: dict, rng: np.random.Generator):
         return pts[:, 0].copy(), pts[:, 1].copy()
     sub = initial_cfg["uniform_x"]
     n = sub["n_trajectories"]
+    _check_ensemble_size(n)  # before the draws are allocated
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
     p0 = np.full(n, float(sub["p0"]))
     if sub["p_jitter"] > 0:
@@ -404,6 +378,99 @@ def _quantum_report(config, record, chain, s0) -> dict:
     return report.to_dict()
 
 
+def _run_chain(cfg):
+    chain = ChainConfig(**cfg["chain"])
+    cls = _SCHEDULES[cfg["scenario"]]
+    seeded = {"seed": cfg["seed"]} if cls is RandomDoubleKick else {}
+    schedule = cls(**cfg["schedule"], **seeded)
+    # evolve checks the caps too, but only once the initial state exists
+    _check_run(chain.n_sites, cfg["n_periods"], cfg["snapshot_every"])
+    if "delta_site" in cfg["initial"]:
+        s0 = cfg["initial"]["delta_site"]
+        state = delta_state(chain.n_sites, s0)
+    else:
+        s0 = chain.kick_center
+        state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
+    record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
+    report = _quantum_report(cfg, record, chain, s0)
+    return report, ("_dist.csv", _write_dist_csv, record.snapshots, range(chain.n_sites))
+
+
+def _run_qkr(cfg):
+    rotor = cfg["rotor"]
+    record = qkr_evolve(
+        rotor["initial_momentum"],
+        rotor["k"],
+        rotor["hbar"],
+        cfg["n_periods"],
+        rotor["n_basis"],
+        cfg["snapshot_every"],
+    )
+    labels = rotor["initial_momentum"] + np.arange(rotor["n_basis"]) - rotor["n_basis"] // 2
+    variance, participation = distribution_stats(
+        record.final_distribution, rotor["n_basis"] // 2
+    )
+    report = {
+        "initial_momentum": rotor["initial_momentum"],
+        "variance": variance,
+        "participation_ratio": participation,
+        "warnings": list(record.warnings),
+    }
+    return report, ("_dist.csv", _write_dist_csv, record.snapshots, labels)
+
+
+def _run_classical(cfg):
+    fields = dict(cfg["map"])
+    spec = _MAPS[fields.pop("variant")](**fields)
+    init_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    x0, p0 = _classical_initials(cfg["initial"], np.random.default_rng(init_ss))
+    if "record_every" not in cfg:
+        sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
+        report = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
+        return report, ("_sos.csv", _write_sos_csv, sections)
+    stats = iterate_ensemble(x0, p0, spec, cfg["n_steps"], cfg["record_every"], seed=run_ss)
+    report = {
+        "n_trajectories": int(x0.size),
+        "steps": [int(s) for s in stats.steps],
+        "mean_p": [float(v) for v in stats.mean_p],
+        "var_p": [float(v) for v in stats.var_p],
+    }
+    return report, None
+
+
+def _run_feasibility(cfg):
+    result = feasibility(cfg["b_range_au"], cfg["n_sites"], cfg["j_hz"], cfg["t0_seconds"])
+    return result.to_dict(), None
+
+
+class _Scenario(NamedTuple):
+    """One run type: its top-level fields besides scenario, seed and output;
+    its validator, which fills in the resolved config; and its runner, which
+    returns the report and either None or (CSV suffix, writer, *writer args)."""
+
+    fields: tuple
+    validate: Callable
+    run: Callable
+    optional: tuple = ()
+
+
+_CHAIN_FIELDS = ("chain", "schedule", "n_periods", "snapshot_every", "initial")
+_REGISTRY = {
+    **{name: _Scenario(_CHAIN_FIELDS, _validate_chain_run, _run_chain) for name in _SCHEDULES},
+    "qkr": _Scenario(("rotor", "n_periods", "snapshot_every"), _validate_qkr, _run_qkr),
+    "classical_map": _Scenario(
+        ("map", "initial", "n_steps", "record_every"), _validate_classical, _run_classical
+    ),
+    "surface_of_section": _Scenario(
+        ("map", "initial", "n_steps"), _validate_classical, _run_classical
+    ),
+    "feasibility": _Scenario(
+        ("b_range_au", "n_sites", "j_hz"), _validate_feasibility, _run_feasibility, ("t0_seconds",)
+    ),
+}
+SCENARIOS = tuple(_REGISTRY)
+
+
 def run_scenario(config, seed: int | None = None, out_prefix: str | None = None) -> dict:
     """Execute one scenario and write its output files.
 
@@ -430,102 +497,19 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     prefix = Path(cfg["output"])
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    dist_path = prefix.parent / (prefix.name + "_dist.csv")
-    sos_path = prefix.parent / (prefix.name + "_sos.csv")
+
+    report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
     report_path = prefix.parent / (prefix.name + "_report.json")
-
-    scenario = cfg["scenario"]
-    files = []
-
-    if scenario in ("single_kick", "double_kick", "double_kick_random"):
-        chain = _chain_from(cfg["chain"])
-        sched_cfg = cfg["schedule"]
-        if scenario == "single_kick":
-            schedule = SingleKick(b_kick=sched_cfg["b_kick"], period=sched_cfg["period"])
-        elif scenario == "double_kick":
-            schedule = DoubleKick(
-                b_weak=sched_cfg["b_weak"],
-                b_strong=sched_cfg["b_strong"],
-                period=sched_cfg["period"],
-            )
-        else:
-            schedule = RandomDoubleKick(
-                b_weak=sched_cfg["b_weak"], period=sched_cfg["period"], seed=cfg["seed"]
-            )
-        if "delta_site" in cfg["initial"]:
-            s0 = cfg["initial"]["delta_site"]
-            state = delta_state(chain.n_sites, s0)
-        else:
-            s0 = chain.kick_center
-            state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
-        record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
-        report_doc = _quantum_report(cfg, record, chain, s0)
-        _write_report(report_path, cfg, report_doc)
-        _write_dist_csv(dist_path, record.snapshots, range(chain.n_sites))
-        files = [dist_path, report_path]
-
-    elif scenario == "qkr":
-        rotor = cfg["rotor"]
-        record = qkr_evolve(
-            rotor["initial_momentum"],
-            rotor["k"],
-            rotor["hbar"],
-            cfg["n_periods"],
-            rotor["n_basis"],
-            cfg["snapshot_every"],
-        )
-        labels = rotor["initial_momentum"] + np.arange(rotor["n_basis"]) - rotor["n_basis"] // 2
-        variance, participation = distribution_stats(
-            record.final_distribution, rotor["n_basis"] // 2
-        )
-        report_doc = {
-            "initial_momentum": rotor["initial_momentum"],
-            "variance": variance,
-            "participation_ratio": participation,
-            "warnings": list(record.warnings),
-        }
-        _write_report(report_path, cfg, report_doc)
-        _write_dist_csv(dist_path, record.snapshots, labels)
-        files = [dist_path, report_path]
-
-    elif scenario == "classical_map":
-        spec = _map_from(cfg["map"])
-        root = np.random.SeedSequence(cfg["seed"])
-        init_ss, run_ss = root.spawn(2)
-        x0, p0 = _classical_initials(cfg["initial"], np.random.default_rng(init_ss))
-        stats = iterate_ensemble(
-            x0, p0, spec, cfg["n_steps"], cfg["record_every"], seed=run_ss
-        )
-        report_doc = {
-            "n_trajectories": int(x0.size),
-            "steps": [int(s) for s in stats.steps],
-            "mean_p": [float(v) for v in stats.mean_p],
-            "var_p": [float(v) for v in stats.var_p],
-        }
-        _write_report(report_path, cfg, report_doc)
-        files = [report_path]
-
-    elif scenario == "surface_of_section":
-        spec = _map_from(cfg["map"])
-        root = np.random.SeedSequence(cfg["seed"])
-        init_ss, run_ss = root.spawn(2)
-        x0, p0 = _classical_initials(cfg["initial"], np.random.default_rng(init_ss))
-        sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
-        report_doc = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
-        _write_report(report_path, cfg, report_doc)
-        _write_sos_csv(sos_path, sections)
-        files = [sos_path, report_path]
-
-    else:  # feasibility
-        result = feasibility(
-            cfg["b_range_au"], cfg["n_sites"], cfg["j_hz"], cfg["t0_seconds"]
-        )
-        report_doc = result.to_dict()
-        _write_report(report_path, cfg, report_doc)
-        files = [report_path]
+    _write_report(report_path, cfg, report)
+    files = [report_path]
+    if csv is not None:
+        suffix, write, *args = csv
+        csv_path = prefix.parent / (prefix.name + suffix)
+        write(csv_path, *args)
+        files.insert(0, csv_path)
 
     return {
         "files": [str(f) for f in files],
         "config": cfg,
-        "warnings": list(report_doc.get("warnings", [])),
+        "warnings": list(report.get("warnings", [])),
     }

@@ -250,6 +250,22 @@ class TestQkrEvolve:
         assert max(p[0] + p[-1] for _, p in rec.snapshots) < 1e-6
         assert any("leakage" in w for w in rec.warnings)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "k, hbar",
+        [
+            (np.nan, 1.0),
+            (np.inf, 1.0),
+            (-np.inf, 1.0),
+            (0.0, np.nan),
+            (0.0, np.inf),
+            (0.0, -np.inf),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, k, hbar):
+        with pytest.raises(ValueError, match="must be finite"):
+            qkr_evolve(0, k, hbar, 3, 16)
+
 
 class TestResultCap:
     # 10 periods every 4 record periods 0, 4, 8 and 10: 4 snapshots

@@ -1,8 +1,10 @@
 """Config validation, runner determinism, file formats, CLI exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,17 @@ import pytest
 
 import kickedchain
 import kickedchain.scenario as scenario_module
-from kickedchain import __version__
+from kickedchain import (
+    DoubleKick,
+    DoubleKickMap,
+    DoubleWellMap,
+    RandomDoubleKick,
+    RandomRescaledDoubleKickMap,
+    RescaledDoubleKickMap,
+    SingleKick,
+    StandardMap,
+    __version__,
+)
 from kickedchain.cli import main
 from kickedchain.evolution import qkr_evolve
 from kickedchain.scenario import (
@@ -64,6 +76,45 @@ def oracle_sos_csv(path, sections):
 
 
 EDGE_FLOATS = [0.0, 5e-324, 1e-300, 0.1, 1e16]
+
+# A valid section for each schedule and map class, holding exactly its fields
+# (a schedule's seed is the config's top-level seed).
+SECTIONS = {
+    "schedule": {
+        SingleKick: ("single_kick", {"b_kick": 0.2, "period": 10.0}),
+        DoubleKick: ("double_kick", {"b_weak": 0.05, "b_strong": 1.0, "period": 3.0}),
+        RandomDoubleKick: ("double_kick_random", {"b_weak": 0.05, "period": 3.0}),
+    },
+    "map": {
+        StandardMap: ("standard", {"k": 1.0}),
+        DoubleKickMap: ("double_kick", {"k": 1.0, "eps": 0.1, "tau": 2.0}),
+        RescaledDoubleKickMap: ("rescaled_double_kick", {"k_eps": 0.35, "tau_eps": 10.0}),
+        RandomRescaledDoubleKickMap: ("rescaled_double_kick_random", {"k_eps": 0.35}),
+        DoubleWellMap: ("double_well", {"k1": 0.35, "k2": 0.2}),
+    },
+}
+DATACLASS_FIELDS = [
+    pytest.param(section, cls, f.name, id=f"{cls.__name__}-{f.name}")
+    for section, classes in SECTIONS.items()
+    for cls in classes
+    for f in dataclasses.fields(cls)
+    if f.name != "seed"
+]
+
+
+def section_config(tmp_path, section, cls):
+    """A valid config whose schedule or map section is built from ``cls``."""
+    name, fields = SECTIONS[section][cls]
+    if section == "schedule":
+        return small_single_kick(tmp_path, scenario=name, schedule=dict(fields))
+    return {
+        "scenario": "surface_of_section",
+        "seed": 1,
+        "output": str(tmp_path / "s"),
+        "map": {"variant": name, **fields},
+        "initial": {"points": [[0.0, 0.5]]},
+        "n_steps": 10,
+    }
 
 
 class TestValidation:
@@ -166,6 +217,50 @@ class TestValidation:
         cfg["initial"]["points"][1] = [10**400, 0.5]
         with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("section, cls, key", DATACLASS_FIELDS)
+    def test_dataclass_fields_are_required(self, tmp_path, section, cls, key):
+        cfg = section_config(tmp_path, section, cls)
+        validate_config(cfg)
+        del cfg[section][key]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == f"config.{section}: missing required field '{key}'"
+
+    @pytest.mark.parametrize(
+        "section, cls, key, value, message",
+        [
+            ("schedule", SingleKick, "period", 0.0, "must be > 0.0"),
+            ("schedule", DoubleKick, "period", 0, "must be > 0.0"),
+            ("map", DoubleKickMap, "eps", 0.0, "must be > 0.0"),
+            ("map", DoubleKickMap, "tau", 0, "must be > 0.0"),
+            ("map", RescaledDoubleKickMap, "tau_eps", 0.0, "must be > 0.0"),
+            ("schedule", DoubleKick, "b_weak", -0.1, "must be >= 0.0"),
+            ("schedule", RandomDoubleKick, "b_weak", -0.1, "must be >= 0.0"),
+            ("schedule", SingleKick, "b_kick", -1, "must be >= 0.0"),
+        ],
+    )
+    def test_field_bounds(self, tmp_path, section, cls, key, value, message):
+        cfg = section_config(tmp_path, section, cls)
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"config.{section}.{key}: {message}")):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cls, key",
+        [
+            (StandardMap, "k"),
+            (DoubleKickMap, "k"),
+            (RescaledDoubleKickMap, "k_eps"),
+            (RandomRescaledDoubleKickMap, "k_eps"),
+            (DoubleWellMap, "k1"),
+            (DoubleWellMap, "k2"),
+        ],
+    )
+    def test_negative_map_strength_accepted(self, tmp_path, cls, key):
+        cfg = section_config(tmp_path, "map", cls)
+        cfg["map"][key] = -1.5
+        assert validate_config(cfg)["map"][key] == -1.5
 
     def test_bundled_configs_validate(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
@@ -407,6 +502,39 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial", [{"delta_site": 0}, {"magnon_m": 0}])
+    def test_huge_ring_refused_before_state_is_built(self, tmp_path, capsys, initial):
+        # an initial state of 10**15 sites would need 16 PB
+        cfg = small_single_kick(tmp_path, initial=initial)
+        cfg["chain"]["n_sites"] = 10**15
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: basis size 1000000000000000 exceeds transform cap" in err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize(
+        "scenario, extra", [("classical_map", {"record_every": 1}), ("surface_of_section", {})]
+    )
+    def test_huge_ensemble_refused_before_drawing(self, tmp_path, capsys, scenario, extra):
+        # the initial angles of 10**15 trajectories would need 8 PB
+        cfg = {
+            "scenario": scenario,
+            "seed": 1,
+            "output": str(tmp_path / "big"),
+            "map": {"variant": "standard", "k": 1.0},
+            "initial": {"uniform_x": {"n_trajectories": 10**15, "p0": 0.0}},
+            "n_steps": 10,
+            **extra,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ensemble size 1000000000000000 exceeds cap 1000000" in err
+        assert not list(tmp_path.glob("big_*"))
 
     def test_feasibility_prints_json(self, capsys):
         code = main(
