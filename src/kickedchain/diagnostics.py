@@ -16,7 +16,6 @@ import numpy as np
 from .evolution import PropagationRecord
 
 __all__ = [
-    "DistributionReport",
     "LocalizationFit",
     "SpikeTrack",
     "cyclic_displacements",
@@ -232,31 +231,3 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
         return 1.0
     d = cyclic_displacements(n, center)
     return float(p[np.abs(d) < half_width].sum())
-
-
-@dataclass
-class DistributionReport:
-    """Bundle of distribution observables for one propagation run."""
-
-    s0: int
-    variance: float
-    participation_ratio: float
-    loc_length: float | None = None
-    loc_fit_r2: float | None = None
-    spikes: list[dict] = field(default_factory=list)
-    spike_speeds: dict = field(default_factory=dict)
-    cell_occupancy: float | None = None
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "s0": self.s0,
-            "variance": self.variance,
-            "participation_ratio": self.participation_ratio,
-            "loc_length": self.loc_length,
-            "loc_fit_r2": self.loc_fit_r2,
-            "spikes": self.spikes,
-            "spike_speeds": self.spike_speeds,
-            "cell_occupancy": self.cell_occupancy,
-            "warnings": self.warnings,
-        }

@@ -24,7 +24,7 @@ from .chain import ChainConfig, delta_state, dispersion, wavenumber_grid
 
 __all__ = [
     "SingleKick", "DoubleKick", "RandomDoubleKick", "KickSchedule", "PropagationRecord",
-    "apply_exchange", "apply_parabolic_kick", "evolve", "build_floquet", "qkr_evolve",
+    "evolve", "build_floquet", "qkr_evolve",
     "MAX_TRANSFORM_SITES", "MAX_DENSE_SITES",
 ]
 
@@ -123,25 +123,6 @@ def _parabola(strength: float, n: int, center: int) -> np.ndarray:
     """Site phases exp(-i * strength/2 * (s - center)^2) of a parabolic kick."""
     d = np.arange(n) - center
     return np.exp(-0.5j * strength * d * d)
-
-
-def apply_exchange(state: np.ndarray, config: ChainConfig, period: float) -> np.ndarray:
-    """Free exchange evolution for one period, applied in the magnon basis.
-
-    Equivalent to multiplying each wavenumber component by
-    exp(-i * dispersion(k) * period); exactly unitary up to roundoff.
-    """
-    if len(state) != config.n_sites:
-        raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
-    return np.fft.ifft(np.fft.fft(state) * _exchange_phases(config, period))
-
-
-def apply_parabolic_kick(state: np.ndarray, strength: float, center: int) -> np.ndarray:
-    """Instantaneous parabolic kick: site s gains phase -strength/2*(s-center)^2."""
-    n = len(state)
-    if not 0 <= center < n:
-        raise ValueError(f"center must lie in [0, {n}), got {center}")
-    return state * _parabola(strength, n, center)
 
 
 def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray]:

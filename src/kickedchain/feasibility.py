@@ -30,6 +30,9 @@ KICK_ACTION_MIN = 10.0
 KICK_ACTION_STRONG = (100.0, 1000.0)
 SPLIT_STEP_MAX = 0.1
 
+# The chain length enters the estimates as a float, exact up to 2**53.
+_MAX_SITES = 2**53
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -95,8 +98,8 @@ def feasibility(
             raise ValueError(f"{name} must be finite")
     if b_range_au < 0:
         raise ValueError("b_range_au must be >= 0")
-    if n_sites <= 0:
-        raise ValueError("n_sites must be > 0")
+    if not 0 < n_sites <= _MAX_SITES:
+        raise ValueError(f"n_sites must be > 0 and <= {_MAX_SITES}")
     if j_hz <= 0:
         raise ValueError("j_hz must be > 0")
     if t0_seconds <= 0:
@@ -115,12 +118,18 @@ def feasibility(
     pulse_max = SPLIT_STEP_MAX / (2.0 * j_au)
 
     exchange_action = 2.0 * j_hz * t0_seconds
+    b_range_tesla = b_range_au * FIELD_TESLA_PER_AU
+    # a duration may be infinite (no bound, written as null); the other derived
+    # values must be finite, and b_kick <= 2 * b_range_au is when the Tesla value is
+    for name, value in (("b_range_tesla", b_range_tesla), ("exchange_action", exchange_action)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite; the inputs are out of range")
     return FeasibilityReport(
         b_range_au=b_range_au,
         n_sites=n_sites,
         j_hz=j_hz,
         b_kick_au=b_kick,
-        b_range_tesla=b_range_au * FIELD_TESLA_PER_AU,
+        b_range_tesla=b_range_tesla,
         pulse_min_au=pulse_min,
         pulse_max_au=pulse_max,
         strong_kick_window_au=strong,

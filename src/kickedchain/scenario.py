@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .chain import ChainConfig, ChainModel, delta_state, magnon_state
 from .diagnostics import (
-    DistributionReport,
     cell_occupancy,
     detect_accelerator_modes,
     distribution_stats,
@@ -35,7 +34,7 @@ from .evolution import (
     evolve,
     qkr_evolve,
 )
-from .feasibility import feasibility
+from .feasibility import _MAX_SITES, feasibility
 from .maps import (
     DoubleKickMap,
     DoubleWellMap,
@@ -201,17 +200,16 @@ def _validate_classical_initial(obj, path):
                 raise ConfigError(f"{path}.points[{i}]: expected a finite [x, p] number pair")
         return {"points": [[float(x), float(p)] for x, p in pts]}
     if set(obj) == {"uniform_x"}:
-        sub = _object(obj["uniform_x"], f"{path}.uniform_x")
-        _keys(sub, f"{path}.uniform_x", required=("n_trajectories", "p0"), optional=("p_jitter",))
-        return {
-            "uniform_x": {
-                "n_trajectories": _integer(sub, f"{path}.uniform_x", "n_trajectories", minimum=1),
-                "p0": _number(sub, f"{path}.uniform_x", "p0"),
-                "p_jitter": _number(sub, f"{path}.uniform_x", "p_jitter", minimum=0.0)
-                if "p_jitter" in sub
-                else 0.0,
-            }
-        }
+        path = f"{path}.uniform_x"
+        sub = _object(obj["uniform_x"], path)
+        _keys(sub, path, required=("n_trajectories", "p0"), optional=("p_jitter",))
+        n = _integer(sub, path, "n_trajectories", minimum=1)
+        p0 = _number(sub, path, "p0")
+        jitter = _number(sub, path, "p_jitter", minimum=0.0) if "p_jitter" in sub else 0.0
+        # the draws span 2 * p_jitter, and p0 plus a draw must stay finite
+        if not (math.isfinite(2.0 * jitter) and math.isfinite(abs(p0) + jitter)):
+            raise ConfigError(f"{path}.p_jitter: 2 * p_jitter and |p0| + p_jitter must be finite")
+        return {"uniform_x": {"n_trajectories": n, "p0": p0, "p_jitter": jitter}}
     raise ConfigError(f"{path}: expected exactly one of 'points' or 'uniform_x'")
 
 
@@ -232,7 +230,9 @@ def _validate_qkr(raw, out):
         "k": _number(rotor, "config.rotor", "k"),
         "hbar": _number(rotor, "config.rotor", "hbar", minimum=0.0, exclusive=True),
         "n_basis": _integer(rotor, "config.rotor", "n_basis", minimum=2),
-        "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum"),
+        # labels m + a - n_basis//2 are int64 in the CSV and floats in the free phase;
+        # |m| <= 2**53 keeps m exact as a float and the labels far from int64 overflow
+        "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum", -(2**53), 2**53),
     }
     out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
     out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
@@ -248,7 +248,7 @@ def _validate_classical(raw, out):
 
 def _validate_feasibility(raw, out):
     out["b_range_au"] = _number(raw, "config", "b_range_au", minimum=0.0)
-    out["n_sites"] = _integer(raw, "config", "n_sites", minimum=1)
+    out["n_sites"] = _integer(raw, "config", "n_sites", minimum=1, maximum=_MAX_SITES)
     out["j_hz"] = _number(raw, "config", "j_hz", minimum=0.0, exclusive=True)
     out["t0_seconds"] = (
         _number(raw, "config", "t0_seconds", minimum=0.0, exclusive=True)
@@ -322,60 +322,68 @@ def _write_sos_csv(path: Path, sections) -> None:
 
 def _write_report(path: Path, config: dict, report: dict) -> None:
     doc = {"config": config, "report": report, "seed": config["seed"], "version": __version__}
-    # encoded before the file is opened, so a non-finite value leaves no partial report
+    # encoded first, so a non-finite value leaves no partial report and no new directory
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
 
-def _quantum_report(config, record, chain, s0) -> dict:
-    captured: list[str] = []
+def _propagation_report(cfg, record, s0) -> dict:
+    """Shared stats plus the scenario's keys; warnings: its own, then caught, then the record's."""
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         variance, participation = distribution_stats(record.final_distribution, s0)
-        report = DistributionReport(
-            s0=s0, variance=variance, participation_ratio=participation
+        keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0)
+    warnings = keys.pop("warnings", []) + [str(w.message) for w in caught] + record.warnings
+    return dict(variance=variance, participation_ratio=participation, **keys, warnings=warnings)
+
+
+def _chain_keys(s0, **computed) -> dict:
+    """A chain report's own keys; those a scenario does not compute stay empty."""
+    empty = dict(loc_length=None, loc_fit_r2=None, spikes=[], spike_speeds={}, cell_occupancy=None)
+    return {"s0": s0, **empty, **computed}
+
+
+def _localization(cfg, record, s0) -> dict:
+    chain, schedule = cfg["chain"], cfg["schedule"]
+    keys = _chain_keys(s0)
+    length_est = (chain["j1"] * schedule["period"]) ** 2 / 4.0
+    window = (max(1.0, length_est / 2.0), min(3.0 * length_est, chain["n_sites"] / 2 - 1))
+    if window[0] < window[1]:
+        try:
+            fit = fit_localization_length(record.final_distribution, s0, window)
+            keys["loc_length"] = fit.length if np.isfinite(fit.length) else None
+            keys["loc_fit_r2"] = fit.r_squared
+        except ValueError as exc:
+            keys["warnings"] = [f"localization fit skipped: {exc}"]
+    if schedule["b_kick"] > 0 and len(record.snapshots) >= 3:
+        left, right = detect_accelerator_modes(record, schedule["b_kick"], chain["kick_center"])
+        for track in (left, right):
+            keys["spike_speeds"][track.side] = track.speed
+            keys["spikes"] += [
+                {"side": track.side, "period": t, "site": s, "displacement": d, "mass": m}
+                for t, s, d, m in zip(track.periods, track.sites, track.displacements, track.masses)
+            ]
+    return keys
+
+
+def _trapping(cfg, record, s0) -> dict:
+    b_weak, center = cfg["schedule"]["b_weak"], cfg["chain"]["kick_center"]
+    return _chain_keys(s0, cell_occupancy=cell_occupancy(record.final_distribution, b_weak, center))
+
+
+def _double_kick_trapping(cfg, record, s0) -> dict:
+    own = []
+    if cfg["schedule"]["b_strong"] <= cfg["schedule"]["b_weak"]:
+        own.append(
+            "b_strong <= b_weak: cellular trapping assumes the second kick is"
+            " much stronger than the first"
         )
-        scenario = config["scenario"]
-        if scenario == "double_kick" and (
-            config["schedule"]["b_strong"] <= config["schedule"]["b_weak"]
-        ):
-            captured.append(
-                "b_strong <= b_weak: cellular trapping assumes the second kick is"
-                " much stronger than the first"
-            )
-        if scenario == "single_kick":
-            b_kick = config["schedule"]["b_kick"]
-            length_est = (chain.j1 * config["schedule"]["period"]) ** 2 / 4.0
-            window = (max(1.0, length_est / 2.0), min(3.0 * length_est, chain.n_sites / 2 - 1))
-            if window[0] < window[1]:
-                try:
-                    fit = fit_localization_length(record.final_distribution, s0, window)
-                    report.loc_length = fit.length if np.isfinite(fit.length) else None
-                    report.loc_fit_r2 = fit.r_squared
-                except ValueError as exc:
-                    captured.append(f"localization fit skipped: {exc}")
-            if b_kick > 0 and len(record.snapshots) >= 3:
-                left, right = detect_accelerator_modes(record, b_kick, chain.kick_center)
-                for track in (left, right):
-                    report.spike_speeds[track.side] = track.speed
-                    report.spikes.extend(
-                        {
-                            "side": track.side,
-                            "period": per,
-                            "site": site,
-                            "displacement": disp,
-                            "mass": mass,
-                        }
-                        for per, site, disp, mass in zip(
-                            track.periods, track.sites, track.displacements, track.masses
-                        )
-                    )
-        else:
-            report.cell_occupancy = cell_occupancy(
-                record.final_distribution, config["schedule"]["b_weak"], chain.kick_center
-            )
-    report.warnings = captured + [str(w.message) for w in caught] + list(record.warnings)
-    return report.to_dict()
+    return {**_trapping(cfg, record, s0), "warnings": own}
+
+
+def _rotor(cfg, record, s0) -> dict:
+    return {"initial_momentum": cfg["rotor"]["initial_momentum"]}
 
 
 def _run_chain(cfg):
@@ -392,30 +400,15 @@ def _run_chain(cfg):
         s0 = chain.kick_center
         state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
     record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
-    report = _quantum_report(cfg, record, chain, s0)
+    report = _propagation_report(cfg, record, s0)
     return report, ("_dist.csv", _write_dist_csv, record.snapshots, range(chain.n_sites))
 
 
 def _run_qkr(cfg):
     rotor = cfg["rotor"]
-    record = qkr_evolve(
-        rotor["initial_momentum"],
-        rotor["k"],
-        rotor["hbar"],
-        cfg["n_periods"],
-        rotor["n_basis"],
-        cfg["snapshot_every"],
-    )
+    record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
     labels = rotor["initial_momentum"] + np.arange(rotor["n_basis"]) - rotor["n_basis"] // 2
-    variance, participation = distribution_stats(
-        record.final_distribution, rotor["n_basis"] // 2
-    )
-    report = {
-        "initial_momentum": rotor["initial_momentum"],
-        "variance": variance,
-        "participation_ratio": participation,
-        "warnings": list(record.warnings),
-    }
+    report = _propagation_report(cfg, record, rotor["n_basis"] // 2)
     return report, ("_dist.csv", _write_dist_csv, record.snapshots, labels)
 
 
@@ -445,19 +438,23 @@ def _run_feasibility(cfg):
 
 class _Scenario(NamedTuple):
     """One run type: its top-level fields besides scenario, seed and output;
-    its validator, which fills in the resolved config; and its runner, which
-    returns the report and either None or (CSV suffix, writer, *writer args)."""
+    its validator, which fills in the resolved config; its runner, which
+    returns the report and either None or (CSV suffix, writer, *writer args);
+    and for a propagation ``diagnose(cfg, record, s0)``, the report's own keys."""
 
     fields: tuple
     validate: Callable
     run: Callable
+    diagnose: Callable | None = None
     optional: tuple = ()
 
 
 _CHAIN_FIELDS = ("chain", "schedule", "n_periods", "snapshot_every", "initial")
 _REGISTRY = {
-    **{name: _Scenario(_CHAIN_FIELDS, _validate_chain_run, _run_chain) for name in _SCHEDULES},
-    "qkr": _Scenario(("rotor", "n_periods", "snapshot_every"), _validate_qkr, _run_qkr),
+    "single_kick": _Scenario(_CHAIN_FIELDS, _validate_chain_run, _run_chain, _localization),
+    "double_kick": _Scenario(_CHAIN_FIELDS, _validate_chain_run, _run_chain, _double_kick_trapping),
+    "double_kick_random": _Scenario(_CHAIN_FIELDS, _validate_chain_run, _run_chain, _trapping),
+    "qkr": _Scenario(("rotor", "n_periods", "snapshot_every"), _validate_qkr, _run_qkr, _rotor),
     "classical_map": _Scenario(
         ("map", "initial", "n_steps", "record_every"), _validate_classical, _run_classical
     ),
@@ -465,7 +462,10 @@ _REGISTRY = {
         ("map", "initial", "n_steps"), _validate_classical, _run_classical
     ),
     "feasibility": _Scenario(
-        ("b_range_au", "n_sites", "j_hz"), _validate_feasibility, _run_feasibility, ("t0_seconds",)
+        ("b_range_au", "n_sites", "j_hz"),
+        _validate_feasibility,
+        _run_feasibility,
+        optional=("t0_seconds",),
     ),
 }
 SCENARIOS = tuple(_REGISTRY)
@@ -478,8 +478,8 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     ``seed`` and ``out_prefix`` override the corresponding config fields.
     Returns {"files": [paths written], "config": resolved config,
     "warnings": [...]}; warnings are also embedded in the report.  The
-    report is written before the CSV, so a run whose report cannot be
-    encoded leaves no output files.
+    report is written before the CSV, so a run that is refused, or whose
+    report cannot be encoded, leaves no output files and no new directory.
     """
     if isinstance(config, (str, Path)):
         with open(config) as fh:
@@ -494,11 +494,8 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     if out_prefix is not None:
         cfg["output"] = out_prefix
 
-    prefix = Path(cfg["output"])
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-
     report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
+    prefix = Path(cfg["output"])
     report_path = prefix.parent / (prefix.name + "_report.json")
     _write_report(report_path, cfg, report)
     files = [report_path]

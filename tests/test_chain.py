@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from kickedchain import (
     ChainConfig,
     ChainModel,
-    apply_exchange,
+    SingleKick,
     delta_state,
     dispersion,
+    evolve,
     magnon_state,
     rotor_image,
     wavenumber_grid,
@@ -103,7 +104,8 @@ class TestMagnonState:
     def test_exchange_eigenstate_up_to_phase(self):
         cfg = ChainConfig(n_sites=16, j1=1.0)
         state = magnon_state(16, 3)
-        out = apply_exchange(state, cfg, period=2.7)
+        # a kick of strength 0 multiplies by exactly 1, leaving the exchange step
+        out = evolve(state, cfg, SingleKick(b_kick=0.0, period=2.7), 1).final_state
         phase = np.vdot(state, out)
         assert abs(abs(phase) - 1.0) < 1e-12
         np.testing.assert_allclose(out, phase * state, atol=1e-12)

@@ -11,20 +11,25 @@ from kickedchain import (
     DoubleKick,
     RandomDoubleKick,
     SingleKick,
-    apply_exchange,
-    apply_parabolic_kick,
     build_floquet,
     delta_state,
     evolve,
     magnon_state,
     qkr_evolve,
 )
+from kickedchain.evolution import _parabola
 
 
 def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     return psi / np.linalg.norm(psi)
+
+
+def exchange(psi, cfg, period):
+    """One period of free exchange: ``evolve`` with a kick of strength 0,
+    whose phases are exactly 1."""
+    return evolve(psi, cfg, SingleKick(b_kick=0.0, period=period), 1).final_state
 
 
 def dense_exchange_kernel(n, j1_t0):
@@ -40,10 +45,12 @@ def dense_exchange_kernel(n, j1_t0):
 
 
 class TestApplyExchange:
+    """The exchange half of a period, applied in the magnon basis by ``evolve``."""
+
     def test_zero_period_is_identity(self):
         cfg = ChainConfig(n_sites=16, j1=1.0)
         psi = random_state(16)
-        np.testing.assert_allclose(apply_exchange(psi, cfg, 0.0), psi, atol=1e-14)
+        np.testing.assert_allclose(exchange(psi, cfg, 0.0), psi, atol=1e-14)
 
     def test_matches_dense_kernel(self):
         # global phase exp(-i*j1*t0) separates the dispersion convention
@@ -51,36 +58,38 @@ class TestApplyExchange:
         n, j1_t0 = 16, 3.0
         cfg = ChainConfig(n_sites=n, j1=1.0)
         psi = random_state(n, seed=3)
-        got = apply_exchange(psi, cfg, j1_t0) * np.exp(1j * j1_t0)
+        got = exchange(psi, cfg, j1_t0) * np.exp(1j * j1_t0)
         expected = dense_exchange_kernel(n, j1_t0) @ psi
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_unitary(self):
         cfg = ChainConfig(n_sites=64, j1=1.0)
-        psi = apply_exchange(random_state(64), cfg, 17.3)
+        psi = exchange(random_state(64), cfg, 17.3)
         assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_length_mismatch(self):
         cfg = ChainConfig(n_sites=16, j1=1.0)
         with pytest.raises(ValueError):
-            apply_exchange(random_state(8), cfg, 1.0)
+            exchange(random_state(8), cfg, 1.0)
 
 
 class TestApplyParabolicKick:
+    """The site phases of a parabolic kick, as ``evolve`` multiplies them in."""
+
     def test_zero_strength_is_identity(self):
         psi = random_state(32)
-        np.testing.assert_allclose(apply_parabolic_kick(psi, 0.0, 16), psi)
+        np.testing.assert_allclose(psi * _parabola(0.0, len(psi), 16), psi)
 
     def test_center_site_untouched(self):
         psi = np.ones(32, dtype=complex) / np.sqrt(32)
-        out = apply_parabolic_kick(psi, 0.7, 10)
+        out = psi * _parabola(0.7, len(psi), 10)
         assert out[10] == psi[10]
 
     def test_phase_against_high_precision_oracle(self):
         # site 94 past the center at strength 1/15: angle -94**2/30 mod 2*pi
         n, center, strength = 256, 64, 1.0 / 15.0
         psi = np.ones(n, dtype=complex)
-        out = apply_parabolic_kick(psi, strength, center)
+        out = psi * _parabola(strength, len(psi), center)
         mpmath.mp.dps = 50
         angle = -mpmath.mpf(94) ** 2 * mpmath.mpf(strength) / 2
         expected = mpmath.exp(1j * angle)
@@ -89,7 +98,7 @@ class TestApplyParabolicKick:
 
     def test_preserves_moduli(self):
         psi = random_state(64, seed=9)
-        out = apply_parabolic_kick(psi, 2.3, 31)
+        out = psi * _parabola(2.3, len(psi), 31)
         np.testing.assert_allclose(np.abs(out), np.abs(psi), rtol=0, atol=1e-15)
 
 
@@ -323,6 +332,6 @@ class TestEigenstateConsistency:
         state = magnon_state(32, 5)
         k = 2.0 * np.pi * 5 / 32
         t0 = 3.7
-        out = apply_exchange(state, cfg, t0)
+        out = exchange(state, cfg, t0)
         expected = np.exp(-1j * (1.0 - np.cos(k)) * t0) * state
         np.testing.assert_allclose(out, expected, atol=1e-12)

@@ -1,5 +1,6 @@
 """Config validation, runner determinism, file formats, CLI exit codes."""
 
+import copy
 import csv
 import dataclasses
 import json
@@ -262,6 +263,36 @@ class TestValidation:
         cfg["map"][key] = -1.5
         assert validate_config(cfg)["map"][key] == -1.5
 
+    @pytest.mark.parametrize(
+        "momentum, ok", [(2**53, True), (-(2**53), True), (2**53 + 1, False), (-(2**53) - 1, False)]
+    )
+    def test_initial_momentum_bound(self, tmp_path, momentum, ok):
+        cfg = shape_config(tmp_path, "qkr")
+        cfg["rotor"]["initial_momentum"] = momentum
+        if ok:
+            assert validate_config(cfg)["rotor"]["initial_momentum"] == momentum
+        else:
+            with pytest.raises(ConfigError, match="initial_momentum: must be"):
+                validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "p0, p_jitter, ok",
+        [
+            (0.0, 8e307, True),
+            (0.0, 1e308, False),
+            (1.7e308, 1e307, False),
+            (-1.7e308, 1e307, False),
+        ],
+    )
+    def test_p_jitter_bound(self, tmp_path, p0, p_jitter, ok):
+        cfg = shape_config(tmp_path, "classical_map")
+        cfg["initial"]["uniform_x"].update(p0=p0, p_jitter=p_jitter)
+        if ok:
+            assert validate_config(cfg)["initial"]["uniform_x"]["p_jitter"] == p_jitter
+        else:
+            with pytest.raises(ConfigError, match=re.escape("uniform_x.p_jitter: 2 * p_jitter")):
+                validate_config(cfg)
+
     def test_bundled_configs_validate(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
         assert len(paths) >= 6
@@ -413,11 +444,95 @@ class TestRunScenario:
 
     def test_unencodable_report_leaves_no_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            scenario_module, "_quantum_report", lambda *args: {"variance": float("nan")}
+            scenario_module, "_propagation_report", lambda *args: {"variance": float("nan")}
         )
         with pytest.raises(ValueError, match="JSON compliant"):
-            run_scenario(small_single_kick(tmp_path))
-        assert not list(tmp_path.glob("run_*"))
+            run_scenario(small_single_kick(tmp_path, output=str(tmp_path / "deep" / "run")))
+        assert list(tmp_path.iterdir()) == []
+
+
+# One small config per scenario, and the exact key set of its report.
+CHAIN_KEYS = {
+    "s0", "variance", "participation_ratio", "loc_length", "loc_fit_r2",
+    "spikes", "spike_speeds", "cell_occupancy", "warnings",
+}
+REPORT_SHAPES = {
+    "single_kick": ({}, CHAIN_KEYS),
+    "double_kick": (
+        {"schedule": {"b_weak": 0.5, "b_strong": 0.1, "period": 3.0}}, CHAIN_KEYS
+    ),
+    "double_kick_random": ({"schedule": {"b_weak": 0.05, "period": 3.0}}, CHAIN_KEYS),
+    "qkr": (
+        {"rotor": {"k": 5.0, "hbar": 1.0, "n_basis": 64, "initial_momentum": -3}},
+        {"initial_momentum", "variance", "participation_ratio", "warnings"},
+    ),
+    "classical_map": (
+        {
+            "map": {"variant": "standard", "k": 1.0},
+            "initial": {"uniform_x": {"n_trajectories": 16, "p0": 0.0, "p_jitter": 0.1}},
+            "n_steps": 8,
+            "record_every": 4,
+        },
+        {"n_trajectories", "steps", "mean_p", "var_p"},
+    ),
+    "surface_of_section": (
+        {
+            "map": {"variant": "double_well", "k1": 0.35, "k2": 0.2},
+            "initial": {"points": [[0.5, 0.1], [2.0, -0.2]]},
+            "n_steps": 8,
+        },
+        {"n_trajectories", "n_steps"},
+    ),
+    "feasibility": (
+        {"b_range_au": 1e-6, "n_sites": 10000, "j_hz": 1e9},
+        {
+            "b_range_au", "n_sites", "j_hz", "b_kick_au", "b_range_tesla", "pulse_min_au",
+            "pulse_max_au", "strong_kick_window_au", "exchange_action",
+            "exchange_action_ok", "feasible",
+        },
+    ),
+}
+
+
+def shape_config(tmp_path, scenario):
+    fields = copy.deepcopy(REPORT_SHAPES[scenario][0])
+    if scenario in scenario_module._SCHEDULES:
+        return small_single_kick(tmp_path, scenario=scenario, **fields)
+    top = {"n_periods": 6, "snapshot_every": 3} if scenario == "qkr" else {}
+    return {"scenario": scenario, "seed": 3, "output": str(tmp_path / "run"), **top, **fields}
+
+
+class TestReportShape:
+    def test_scenarios_are_covered(self):
+        assert set(REPORT_SHAPES) == set(scenario_module.SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", sorted(REPORT_SHAPES))
+    def test_report_keys(self, tmp_path, scenario):
+        run_scenario(shape_config(tmp_path, scenario))
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert set(report) == REPORT_SHAPES[scenario][1]
+
+    def test_uncomputed_chain_keys_stay_empty(self, tmp_path):
+        run_scenario(shape_config(tmp_path, "double_kick_random"))
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["loc_length"] is None and report["loc_fit_r2"] is None
+        assert report["spikes"] == [] and report["spike_speeds"] == {}
+        assert 0.0 <= report["cell_occupancy"] <= 1.0
+
+    @pytest.mark.parametrize("b_weak, b_strong", [(0.5, 0.1), (0.05, 0.01)])
+    def test_b_strong_message_comes_first(self, tmp_path, b_weak, b_strong):
+        # at b_weak 0.05 the trapping cell (pi/0.05 ~ 63 sites) is wider than
+        # the 64-site ring, so cell_occupancy's saturation warning is caught
+        # during the diagnosis and follows the scenario's own message
+        cfg = shape_config(tmp_path, "double_kick")
+        cfg["schedule"].update(b_weak=b_weak, b_strong=b_strong)
+        result = run_scenario(cfg)
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["warnings"][0].startswith("b_strong <= b_weak")
+        saturated = [w for w in report["warnings"] if "occupancy saturates" in w]
+        assert report["warnings"][1:] == saturated
+        assert len(saturated) == (b_weak < 0.1)
+        assert result["warnings"] == report["warnings"]
 
 
 class TestWriterBytes:
@@ -503,6 +618,60 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
+        cfg = small_single_kick(tmp_path, output=str(tmp_path / "deep" / "run"))
+        cfg["chain"]["n_sites"] = 10**15
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "exceeds transform cap" in capsys.readouterr().err
+        assert not (tmp_path / "deep").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, section, key, value",
+        [
+            ("qkr", "rotor", "initial_momentum", 2**63),
+            ("classical_map", ("initial", "uniform_x"), "p_jitter", 1e308),
+            ("feasibility", (), "n_sites", 10**400),
+        ],
+        ids=["initial_momentum", "p_jitter", "n_sites"],
+    )
+    def test_out_of_range_exits_2_without_output(
+        self, tmp_path, capsys, scenario, section, key, value
+    ):
+        cfg = shape_config(tmp_path, scenario)
+        target = cfg
+        for name in (section,) if isinstance(section, str) else section:
+            target = target[name]
+        target[key] = value
+        cfg["output"] = str(tmp_path / "deep" / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f".{key}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_feasibility_overflowing_exchange_exits_1_without_output(self, tmp_path, capsys):
+        cfg = shape_config(tmp_path, "feasibility")
+        cfg.update(j_hz=1e300, t0_seconds=1e300, output=str(tmp_path / "deep" / "run"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "error: exchange_action is not finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "sites, code", [(2**53, 0), (2**53 + 1, 1), (10**400, 1)], ids=["2**53", "2**53+1", "10**400"]
+    )
+    def test_feasibility_sites_bound(self, capsys, sites, code):
+        argv = ["feasibility", "--b-range", "1e-6", "--sites", str(sites), "--j-hz", "1e9"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and f"error: n_sites must be > 0 and <= {2**53}" in err
+        else:
+            assert json.loads(out)["n_sites"] == sites
+
     @pytest.mark.parametrize("initial", [{"delta_site": 0}, {"magnon_m": 0}])
     def test_huge_ring_refused_before_state_is_built(self, tmp_path, capsys, initial):
         # an initial state of 10**15 sites would need 16 PB
@@ -555,10 +724,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "b_range, message",
-        [("nan", "b_range_au must be finite"), ("1e308", "not JSON compliant")],
+        [("nan", "b_range_au must be finite"), ("1e308", "b_range_tesla is not finite")],
     )
     def test_feasibility_non_finite_exits_1(self, capsys, b_range, message):
-        # 1e308 au is finite, but overflows to inf when converted to Tesla
+        # 1e308 au is finite, but overflows to inf when converted to Tesla;
+        # feasibility refuses it before the report is built
         code = main(["feasibility", "--b-range", b_range, "--sites", "1", "--j-hz", "1e9"])
         assert code == 1
         out, err = capsys.readouterr()
