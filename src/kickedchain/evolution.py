@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import check_result_bytes
-from .chain import ChainConfig, delta_state, dispersion, wavenumber_grid
+from .chain import ChainConfig, ChainModel, delta_state, dispersion, wavenumber_grid
 
 __all__ = [
     "SingleKick", "DoubleKick", "RandomDoubleKick", "KickSchedule", "PropagationRecord",
@@ -34,6 +34,13 @@ MAX_DENSE_SITES = 4096
 
 # Edge probability above which a truncated rotor basis is considered leaky.
 QKR_LEAK_THRESHOLD = 1e-6
+
+# Largest phase, in rad, that a propagation accepts.  Doubles near 2**40 are
+# spaced 2**-12 rad apart, so such a phase still resolves the dynamics; near
+# 2**52 the spacing is 1 rad and the phase is noise, and beyond that the
+# phases overflow.  The largest bundled phase is 2**19 rad (localization,
+# qkr_localization).
+_MAX_PHASE = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,17 @@ def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
+def _check_phases(**phases: float) -> None:
+    """Refuse a run before any phase array is built if a largest phase is out of range.
+
+    The phases are Python floats, so computing them raises no numpy warning;
+    an overflow shows as ``inf`` and is refused like ``nan``.
+    """
+    for name, value in phases.items():
+        if not value <= _MAX_PHASE:  # also refuses NaN
+            raise ValueError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
+
+
 def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
     """Check a propagation's sizes against the caps before anything is built."""
     if n > MAX_TRANSFORM_SITES:
@@ -198,6 +216,13 @@ def evolve(
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
     _check_run(n, n_periods, snapshot_every)
+    # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
+    # and at most 2 * (|j1| + |j2|) otherwise
+    j1, j2 = abs(float(config.j1)), abs(float(config.j2))
+    energy = j1 if config.model is ChainModel.ANTIFERRO_LINEAR else 2.0 * (j1 + j2)
+    d = max(config.kick_center, n - 1 - config.kick_center)
+    curvature = max(float(getattr(schedule, b, 0.0)) for b in ("b_kick", "b_weak", "b_strong"))
+    _check_phases(exchange=energy * float(schedule.period), kick=0.5 * curvature * d * d)
 
     exchange = _exchange_phases(config, schedule.period)
     steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
@@ -255,6 +280,9 @@ def qkr_evolve(
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be finite and > 0, got {hbar}")
     _check_run(n_basis, n_periods, snapshot_every)
+    lo = initial_momentum - n_basis // 2
+    l_max = float(max(abs(lo), abs(lo + n_basis - 1)))
+    _check_phases(free=0.5 * float(hbar) * l_max * l_max, kick=abs(float(k) / float(hbar)))
 
     l = initial_momentum + np.arange(n_basis) - n_basis // 2
     free_phases = np.exp(-0.5j * hbar * l.astype(float) ** 2)

@@ -203,16 +203,10 @@ def _advance_tile(x, p, spec, n_steps, seq, a, b, emit):
     x, p = x[a:b], p[a:b]
     rngs, chunk = None, n_steps
     if seq is not None:
-        # child i of seq: what a fresh seq.spawn hands out i-th, built
-        # without advancing seq's spawn counter
-        rngs = [
-            np.random.default_rng(
-                np.random.SeedSequence(
-                    seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
-                )
-            )
-            for i in range(a, b)
-        ]
+        # imported here: it loads numpy.random, which only a run that draws needs
+        from ._streams import child_generators
+
+        rngs = child_generators(seq, a, b)
         chunk = max(1, _DRAW_BUDGET // (8 * (b - a)))
     draws = None
     for t0 in range(0, n_steps, chunk):

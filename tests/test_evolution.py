@@ -1,13 +1,17 @@
 """Propagation tests: split-step path against independent dense oracles."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
 
 import kickedchain._limits as limits
+import kickedchain.evolution as evolution
 from kickedchain import (
     ChainConfig,
+    ChainModel,
     DoubleKick,
     RandomDoubleKick,
     SingleKick,
@@ -296,6 +300,61 @@ class TestResultCap:
     def test_qkr_transform_cap(self):
         with pytest.raises(ValueError, match="transform cap"):
             qkr_evolve(0, 1.0, 1.0, 1, 2**20 + 2)
+
+
+def _chain_run(schedule, model=ChainModel.FERROMAGNET, j2=0.0):
+    # 4 sites centred on site 2: the farthest site is 2 away, so the largest
+    # kick phase is 2 * b; a ferromagnet's largest exchange phase is 2 * period
+    cfg = ChainConfig(n_sites=4, j1=1.0, j2=j2, model=model)
+    return evolve(delta_state(4, 0), cfg, schedule, 1)
+
+
+class TestPhasePreflight:
+    """Each largest phase must be finite and at most 2**40 rad."""
+
+    # (run, the argument at which that phase is exactly 2**40)
+    CASES = {
+        "exchange": (lambda t: _chain_run(SingleKick(b_kick=0.0, period=t)), 2.0**39),
+        "kick": (lambda b: _chain_run(SingleKick(b_kick=b, period=0.0)), 2.0**39),
+        "strong kick": (lambda b: _chain_run(DoubleKick(0.1, b, period=0.0)), 2.0**39),
+        "random weak kick": (lambda b: _chain_run(RandomDoubleKick(b, 0.0, seed=1)), 2.0**39),
+        # two basis states hold momenta -1 and 0, so the free phase is hbar / 2
+        "free": (lambda hbar: qkr_evolve(0, 0.0, hbar, 1, 2), 2.0**41),
+        "rotor kick": (lambda k: qkr_evolve(0, k, 1.0, 1, 2), 2.0**40),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_bound_is_inclusive(self, name):
+        run, edge = self.CASES[name]
+        run(edge)
+        with pytest.raises(ValueError, match="phase reaches 1.1e\\+12 rad; it must be finite and <= 2\\*\\*40"):
+            run(np.nextafter(edge, np.inf))
+
+    def test_antiferromagnet_ignores_j2(self):
+        _chain_run(SingleKick(0.1, 1.0), model=ChainModel.ANTIFERRO_LINEAR, j2=1e300)
+        with pytest.raises(ValueError, match="exchange phase reaches"):
+            _chain_run(SingleKick(0.1, 1.0), model=ChainModel.NNN_LADDER, j2=1e300)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: evolve(delta_state(64, 32), ChainConfig(64, 1.0), SingleKick(1e308, 10.0), 12),
+            lambda: evolve(delta_state(64, 32), ChainConfig(64, 1e300), SingleKick(0.2, 1e300), 12),
+            lambda: qkr_evolve(0, 5.0, 1e300, 6, 16),
+        ],
+        ids=["b_kick-1e308", "j1-period-1e300", "hbar-1e300"],
+    )
+    def test_refused_before_phases_are_built(self, run, monkeypatch):
+        def built(*args):
+            raise AssertionError("a phase array was built")
+
+        monkeypatch.setattr(evolution, "_parabola", built)
+        monkeypatch.setattr(evolution, "_exchange_phases", built)
+        monkeypatch.setattr(evolution, "delta_state", built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phase reaches"):
+                run()
 
 
 class TestScheduleValidation:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kickedchain._limits as limits
+import kickedchain._streams as _streams
 import kickedchain.maps as maps_module
 from kickedchain import (
     DoubleKickMap,
@@ -277,6 +278,39 @@ class TestFixedPointStability:
             fixed_point_stability(RescaledDoubleKickMap(k_eps=0.35, tau_eps=50.0))
 
 
+class TestChildStates:
+    """The vectorized SeedSequence hash behind the random variant's streams."""
+
+    SEEDS = {
+        "0": np.random.SeedSequence(0),
+        "1": np.random.SeedSequence(1),
+        "2**32": np.random.SeedSequence(2**32),
+        "2**64-1": np.random.SeedSequence(2**64 - 1),
+        "2**127+5": np.random.SeedSequence(2**127 + 5),
+        "list": np.random.SeedSequence([0, 7, 2**33, 2**32 - 1, 5]),
+        "uint32-array": np.random.SeedSequence(np.array([9, 0, 2**32 - 1], dtype=np.uint32)),
+        # what _run_classical passes: a spawned child of the run's seed
+        "spawned": np.random.SeedSequence(11).spawn(2)[1],
+        "pool_size-8": np.random.SeedSequence(12, pool_size=8),
+    }
+
+    @pytest.mark.parametrize("name", SEEDS)
+    @pytest.mark.parametrize("i", [0, 1, 4095, 4096, 2**16, maps_module.MAX_ENSEMBLE - 1])
+    def test_row_equals_numpy_child(self, name, i):
+        seq = self.SEEDS[name]
+        child = np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
+        )
+        rows = _streams.child_states(seq, i, i + 1)
+        assert rows.dtype == np.uint64 and rows.shape == (1, 4)
+        np.testing.assert_array_equal(rows[0], child.generate_state(4, np.uint64))
+
+    def test_rows_equal_spawned_children(self):
+        seq = self.SEEDS["spawned"]
+        expected = [c.generate_state(4, np.uint64) for c in seq.spawn(40)[30:]]
+        np.testing.assert_array_equal(_streams.child_states(seq, 30, 40), expected)
+
+
 class TestEnsembleCap:
     def test_rejects_oversized_ensemble(self):
         from kickedchain.maps import MAX_ENSEMBLE
@@ -399,6 +433,41 @@ class TestEngine:
             with pytest.raises(ValueError, match="10 of 10 trajectories became non-finite"):
                 iterate_ensemble(np.zeros(10), np.full(10, 1e308), StandardMap(k=1e308), 5)
         assert len(tiles) == 4
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            9,
+            np.random.SeedSequence(5).spawn(2)[1],
+            np.random.SeedSequence([3, 2**40], pool_size=8),
+        ],
+        ids=["int", "spawned", "pool_size-8"],
+    )
+    def test_tiled_streams_equal_seed_sequence_children(self, seed, monkeypatch):
+        # reference: trajectory i drawn from numpy's own child i of the seed,
+        # the whole ensemble stepped on the column-stacked draws
+        spec = RandomRescaledDoubleKickMap(k_eps=0.35)
+        x0, p0 = self._initials()
+        n_steps, every = 37, 5
+        tiles = _use_small_tiles(monkeypatch)
+        stats = iterate_ensemble(x0, p0, spec, n_steps, every, seed=seed)
+        assert len(tiles) == 4
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        draws = np.column_stack([
+            np.random.default_rng(
+                np.random.SeedSequence(
+                    seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
+                )
+            ).uniform(0.0, 2 * np.pi, size=n_steps)
+            for i in range(x0.size)
+        ])
+        x, p = x0, p0
+        expected = [p0]
+        for t in range(1, n_steps + 1):
+            x, p = maps_module._step(x, p, spec, draws[t - 1])
+            if t % every == 0 or t == n_steps:
+                expected.append(p)
+        np.testing.assert_array_equal(stats.momenta, np.array(expected))
 
     def test_partial_overflow_counts_trajectories(self):
         p0 = np.zeros(6)

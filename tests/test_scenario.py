@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -651,6 +652,33 @@ class TestCli:
         assert f".{key}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "scenario, leaves",
+        [
+            ("single_kick", {("schedule", "b_kick"): 1e308}),
+            ("single_kick", {("chain", "j1"): 1e300, ("schedule", "period"): 1e300}),
+            ("qkr", {("rotor", "hbar"): 1e300}),
+        ],
+        ids=["b_kick-1e308", "j1-period-1e300", "hbar-1e300"],
+    )
+    def test_huge_phase_exits_1_without_output(self, tmp_path, capsys, scenario, leaves):
+        # b_kick 1e308 overflows the kick phases to NaN, j1 * period overflows
+        # the exchange phase, and hbar 1e300 leaves the rotor's free phases as
+        # rounding noise; each run is refused before its first period
+        cfg = shape_config(tmp_path, scenario)
+        for (section, key), value in leaves.items():
+            cfg[section][key] = value
+        cfg["output"] = str(tmp_path / "deep" / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: \w+ phase reaches \S+ rad; it must be finite and <= 2\*\*40\n", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_feasibility_overflowing_exchange_exits_1_without_output(self, tmp_path, capsys):
         cfg = shape_config(tmp_path, "feasibility")
         cfg.update(j_hz=1e300, t0_seconds=1e300, output=str(tmp_path / "deep" / "run"))
@@ -801,7 +829,8 @@ class TestCli:
     def test_cli_import_skips_scipy_optimize(self, tmp_path):
         # scipy.fft is loaded by the first propagation and scipy.optimize by
         # fixed_point_stability; importing the CLI, validating and a classical
-        # run load no scipy module at all
+        # run load no scipy module at all; numpy.random is loaded only by a run
+        # that seeds, never by importing the CLI or validating
         section = tmp_path / "sos.json"
         section.write_text(json.dumps({
             "scenario": "surface_of_section",
@@ -818,15 +847,19 @@ class TestCli:
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(section)!r}]) == 0",
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
-        for step in steps:
+        for n, step in enumerate(steps):
             code = (
                 f"import sys\n{step}\n"
-                "print('scipy.optimize' in sys.modules, [m for m in sys.modules if m.startswith('scipy')])"
+                "print('scipy.optimize' in sys.modules, [m for m in sys.modules if m.startswith('scipy')])\n"
+                "print('numpy.random' in sys.modules)"
             )
             out = subprocess.run(
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
             )
-            assert out.stdout.splitlines()[-1] == "False []", step
+            scipy_line, random_line = out.stdout.splitlines()[-2:]
+            assert scipy_line == "False []", step
+            if n < 2:
+                assert random_line == "False", step
 
 
 class TestBundledRuns:
