@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import check_result_bytes
+from ._limits import check_result_bytes, check_work
 from .chain import ChainConfig, ChainModel, delta_state, dispersion, wavenumber_grid
 
 __all__ = [
@@ -156,8 +156,19 @@ def _check_phases(**phases: float) -> None:
             raise ValueError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
 
 
+def _check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
+    """Refuse a chain schedule whose exchange or kick phase is out of range."""
+    # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
+    # and at most 2 * (|j1| + |j2|) otherwise
+    j1, j2 = abs(float(config.j1)), abs(float(config.j2))
+    energy = j1 if config.model is ChainModel.ANTIFERRO_LINEAR else 2.0 * (j1 + j2)
+    d = max(config.kick_center, config.n_sites - 1 - config.kick_center)
+    curvature = max(float(getattr(schedule, b, 0.0)) for b in ("b_kick", "b_weak", "b_strong"))
+    _check_phases(exchange=energy * float(schedule.period), kick=0.5 * curvature * d * d)
+
+
 def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
-    """Check a propagation's sizes against the caps before anything is built."""
+    """Check a propagation's sizes and work against the caps before anything is built."""
     if n > MAX_TRANSFORM_SITES:
         raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
     if n_periods < 0:
@@ -166,6 +177,7 @@ def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
         raise ValueError("snapshot_every must be >= 1")
     n_snapshots = 1 + n_periods // snapshot_every + (n_periods % snapshot_every > 0)
     check_result_bytes(8 * n * n_snapshots, f"{n_snapshots} snapshots of {n} probabilities")
+    check_work(n, n_periods, f"{n_periods} periods of {n} basis states")
 
 
 def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
@@ -174,8 +186,10 @@ def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
     A period runs each step ``(before, between, after)`` in order: multiply by
     ``before`` (own basis, or None), transform by ``forward`` ("fft" or
     "ifft"), multiply by ``between`` (conjugate basis), transform back,
-    multiply by ``after`` (own basis, or None).  Returns the record and the
-    largest |amps[0]|**2 + |amps[-1]|**2 of any period.
+    multiply by ``after`` (own basis, or None).  Every period runs in place
+    on ``amps``, which the caller hands over; snapshots are fresh arrays.
+    Returns the record and the largest |amps[0]|**2 + |amps[-1]|**2 of any
+    period.
     """
     # imported here: scipy.fft is most of the package's import time, and
     # validation and the classical maps never transform
@@ -188,10 +202,12 @@ def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
     for t in range(1, n_periods + 1):
         for before, between, after in steps:
             if before is not None:
-                amps = amps * before
-            amps = inv(fwd(amps) * between)
+                np.multiply(amps, before, out=amps)
+            amps = fwd(amps, overwrite_x=True)
+            np.multiply(amps, between, out=amps)
+            amps = inv(amps, overwrite_x=True)
             if after is not None:
-                amps = amps * after
+                np.multiply(amps, after, out=amps)
         max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
         if t % snapshot_every == 0 or t == n_periods:
             snapshots.append((t, np.abs(amps) ** 2))
@@ -216,13 +232,7 @@ def evolve(
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
     _check_run(n, n_periods, snapshot_every)
-    # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
-    # and at most 2 * (|j1| + |j2|) otherwise
-    j1, j2 = abs(float(config.j1)), abs(float(config.j2))
-    energy = j1 if config.model is ChainModel.ANTIFERRO_LINEAR else 2.0 * (j1 + j2)
-    d = max(config.kick_center, n - 1 - config.kick_center)
-    curvature = max(float(getattr(schedule, b, 0.0)) for b in ("b_kick", "b_weak", "b_strong"))
-    _check_phases(exchange=energy * float(schedule.period), kick=0.5 * curvature * d * d)
+    _check_chain_phases(config, schedule)
 
     exchange = _exchange_phases(config, schedule.period)
     steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
@@ -240,6 +250,7 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule, max_dense: int = 
     n = config.n_sites
     if n > max_dense:
         raise ValueError(f"n_sites {n} exceeds dense cap {max_dense}")
+    _check_chain_phases(config, schedule)
 
     ks = wavenumber_grid(n)
     weights = np.exp(-1j * dispersion(config, ks) * schedule.period) / n

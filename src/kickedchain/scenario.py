@@ -280,13 +280,14 @@ def validate_config(raw: dict) -> dict:
     return out
 
 
-def _classical_initials(initial_cfg: dict, rng: np.random.Generator):
+def _classical_initials(initial_cfg: dict, seed):
     if "points" in initial_cfg:
         pts = np.asarray(initial_cfg["points"], dtype=float)
         return pts[:, 0].copy(), pts[:, 1].copy()
     sub = initial_cfg["uniform_x"]
     n = sub["n_trajectories"]
     _check_ensemble_size(n)  # before the draws are allocated
+    rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
     p0 = np.full(n, float(sub["p0"]))
     if sub["p_jitter"] > 0:
@@ -415,8 +416,11 @@ def _run_qkr(cfg):
 def _run_classical(cfg):
     fields = dict(cfg["map"])
     spec = _MAPS[fields.pop("variant")](**fields)
-    init_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
-    x0, p0 = _classical_initials(cfg["initial"], np.random.default_rng(init_ss))
+    init_ss = run_ss = None
+    # only a run that draws loads numpy.random
+    if "uniform_x" in cfg["initial"] or isinstance(spec, RandomRescaledDoubleKickMap):
+        init_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    x0, p0 = _classical_initials(cfg["initial"], init_ss)
     if "record_every" not in cfg:
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
         report = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}

@@ -302,6 +302,25 @@ class TestResultCap:
             qkr_evolve(0, 1.0, 1.0, 1, 2**20 + 2)
 
 
+class TestWorkCap:
+    # each run is allowed at exactly its work and refused one element-step
+    # below it; a period counts at least 1024 element-steps
+    def test_evolve(self, monkeypatch):
+        run = lambda: evolve(delta_state(2048, 0), ChainConfig(2048, 1.0), SingleKick(0.1, 1.0), 3)
+        monkeypatch.setattr(limits, "MAX_WORK", 2048 * 3)
+        run()
+        monkeypatch.setattr(limits, "MAX_WORK", 2048 * 3 - 1)
+        with pytest.raises(ValueError, match="3 periods of 2048 basis states would take 6144 element-steps"):
+            run()
+
+    def test_small_basis_counts_the_floor(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORK", 1024 * 10)
+        qkr_evolve(0, 1.0, 1.0, 10, 32)
+        monkeypatch.setattr(limits, "MAX_WORK", 1024 * 10 - 1)
+        with pytest.raises(ValueError, match="10 periods of 32 basis states would take 10240 element-steps"):
+            qkr_evolve(0, 1.0, 1.0, 10, 32)
+
+
 def _chain_run(schedule, model=ChainModel.FERROMAGNET, j2=0.0):
     # 4 sites centred on site 2: the farthest site is 2 away, so the largest
     # kick phase is 2 * b; a ferromagnet's largest exchange phase is 2 * period
@@ -355,6 +374,78 @@ class TestPhasePreflight:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="phase reaches"):
                 run()
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [SingleKick(1e308, 1.0), DoubleKick(0.1, 1e308, 1.0), SingleKick(0.1, 1e300)],
+        ids=["b_kick-1e308", "b_strong-1e308", "period-1e300"],
+    )
+    def test_build_floquet_refused_before_phases_are_built(self, schedule, monkeypatch):
+        def built(*args):
+            raise AssertionError("a phase array was built")
+
+        monkeypatch.setattr(evolution, "_parabola", built)
+        monkeypatch.setattr(evolution, "wavenumber_grid", built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phase reaches"):
+                build_floquet(ChainConfig(4, 1.0), schedule)
+
+
+def _out_of_place(amps, steps, forward, n_periods):
+    """The final state and the site probabilities of every period, stepped by
+    the out-of-place split-step formula: every product and transform makes a
+    new array."""
+    from scipy import fft
+
+    fwd, inv = (fft.fft, fft.ifft) if forward == "fft" else (fft.ifft, fft.fft)
+    probs = [np.abs(amps) ** 2]
+    for _ in range(n_periods):
+        for before, between, after in steps:
+            if before is not None:
+                amps = amps * before
+            amps = inv(fwd(amps) * between)
+            if after is not None:
+                amps = amps * after
+        probs.append(np.abs(amps) ** 2)
+    return amps, probs
+
+
+class TestInPlaceEngine:
+    """The in-place engine gives the bits of the out-of-place formula."""
+
+    @pytest.mark.parametrize(
+        "n, schedule",
+        [
+            (4096, SingleKick(b_kick=0.25, period=20.0)),
+            (1000, DoubleKick(b_weak=0.02, b_strong=0.7, period=1.5)),
+            (97, RandomDoubleKick(b_weak=0.025, period=7.0, seed=4)),
+        ],
+        ids=["single", "double", "random"],
+    )
+    def test_chain_matches_out_of_place(self, n, schedule):
+        cfg = ChainConfig(n_sites=n, j1=1.0)
+        state = random_state(n, seed=n)
+        kept = state.copy()
+        record = evolve(state, cfg, schedule, 200)
+        np.testing.assert_array_equal(state, kept)
+        exchange = evolution._exchange_phases(cfg, schedule.period)
+        kicks = evolution._kick_phases(schedule, n, cfg.kick_center)
+        final, probs = _out_of_place(kept, [(None, exchange, k) for k in kicks], "fft", 200)
+        np.testing.assert_array_equal(record.final_state, final)
+        for (t, prob), expected in zip(record.snapshots, probs, strict=True):
+            np.testing.assert_array_equal(prob, expected, err_msg=f"period {t}")
+
+    def test_rotor_matches_out_of_place(self):
+        m, k, hbar, n = 3, 5.0, 0.25, 128
+        record = qkr_evolve(m, k, hbar, 200, n)
+        l = m + np.arange(n) - n // 2
+        free = np.exp(-0.5j * hbar * l.astype(float) ** 2)
+        kick = np.exp(1j * (k / hbar) * np.cos(2.0 * np.pi * np.arange(n) / n))
+        final, probs = _out_of_place(delta_state(n, n // 2), [(free, kick, None)], "ifft", 200)
+        np.testing.assert_array_equal(record.final_state, final)
+        for (t, prob), expected in zip(record.snapshots, probs, strict=True):
+            np.testing.assert_array_equal(prob, expected, err_msg=f"period {t}")
 
 
 class TestScheduleValidation:

@@ -1,6 +1,7 @@
 """Classical map tests: stepping, ensembles, sections, fixed points."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,6 +352,25 @@ class TestResultCap:
             iterate_ensemble(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10, 4)
 
 
+class TestWorkCap:
+    # each run is allowed at exactly its work and refused one element-step
+    # below it; a step counts at least 1024 element-steps
+    @pytest.mark.parametrize(
+        "run, work",
+        [
+            (lambda: iterate_ensemble(np.zeros(3), np.zeros(3), StandardMap(k=1.0), 10, 4), 1024 * 10),
+            (lambda: surface_of_section(np.zeros(2048), np.zeros(2048), StandardMap(k=1.0), 3), 2048 * 3),
+        ],
+        ids=["ensemble-floor", "section"],
+    )
+    def test_bound_is_inclusive(self, run, work, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORK", work)
+        run()
+        monkeypatch.setattr(limits, "MAX_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"would take {work} element-steps, over the work cap"):
+            run()
+
+
 class TestMapValidation:
     @pytest.mark.parametrize(
         "ctor",
@@ -370,7 +390,8 @@ ALL_SPECS = DETERMINISTIC_SPECS + [RandomRescaledDoubleKickMap(k_eps=0.35)]
 
 def _use_small_tiles(monkeypatch):
     """Cut 10 trajectories into four tiles of 2-3 on a two-thread pool, with
-    draw chunks of 2-3 steps; return the list of tiles stepped."""
+    draw chunks of 2-3 steps stepped by panels of 1-2 (a chunk of 3 ends in a
+    ragged panel of 1); return the list of tiles stepped."""
     tiles = []
     advance_tile = maps_module._advance_tile
 
@@ -380,6 +401,7 @@ def _use_small_tiles(monkeypatch):
 
     monkeypatch.setattr(maps_module, "_TILE", 3)
     monkeypatch.setattr(maps_module, "_DRAW_BUDGET", 8 * 6)
+    monkeypatch.setattr(maps_module, "_PANEL_BUDGET", 8 * 4)
     monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(maps_module, "_advance_tile", spy)
     return tiles
@@ -405,6 +427,19 @@ class TestEngine:
         for field in ("steps", "mean_p", "var_p", "momenta"):
             np.testing.assert_array_equal(getattr(tiled_ens, field), getattr(ens, field))
         np.testing.assert_array_equal(tiled_sos, sos)
+
+    def test_draw_buffers_stay_within_two_budgets(self, monkeypatch):
+        # one thread steps one 4096-trajectory tile: its draw block (one
+        # budget) and its panel are the only large arrays it holds
+        monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 1)
+        x0, p0 = np.zeros(4096), np.linspace(-1.0, 1.0, 4096)
+        tracemalloc.start()
+        try:
+            iterate_ensemble(x0, p0, RandomRescaledDoubleKickMap(k_eps=0.35), 600, 600, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * maps_module._DRAW_BUDGET
 
     def test_more_threads_than_cores_lose_no_writes(self, monkeypatch):
         # 32 tiles on 16 threads, switching every microsecond: every tile must

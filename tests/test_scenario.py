@@ -679,6 +679,27 @@ class TestCli:
         assert re.fullmatch(r"error: \w+ phase reaches \S+ rad; it must be finite and <= 2\*\*40\n", err)
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "scenario, count, every",
+        [
+            ("single_kick", "n_periods", "snapshot_every"),
+            ("qkr", "n_periods", "snapshot_every"),
+            ("classical_map", "n_steps", "record_every"),
+        ],
+    )
+    def test_endless_run_exits_1_without_output(self, tmp_path, capsys, scenario, count, every):
+        # 2**63 periods or steps, recorded every 2**63, fit the result cap in
+        # two records; the work cap refuses them before the first step
+        cfg = shape_config(tmp_path, scenario)
+        cfg.update({count: 2**63, every: 2**63, "output": str(tmp_path / "deep" / "run")})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: .* element-steps, over the work cap of 1099511627776\n", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_feasibility_overflowing_exchange_exits_1_without_output(self, tmp_path, capsys):
         cfg = shape_config(tmp_path, "feasibility")
         cfg.update(j_hz=1e300, t0_seconds=1e300, output=str(tmp_path / "deep" / "run"))
@@ -830,7 +851,8 @@ class TestCli:
         # scipy.fft is loaded by the first propagation and scipy.optimize by
         # fixed_point_stability; importing the CLI, validating and a classical
         # run load no scipy module at all; numpy.random is loaded only by a run
-        # that seeds, never by importing the CLI or validating
+        # that draws, never by importing the CLI, validating or a points section
+        # of a deterministic map
         section = tmp_path / "sos.json"
         section.write_text(json.dumps({
             "scenario": "surface_of_section",
@@ -847,7 +869,7 @@ class TestCli:
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(section)!r}]) == 0",
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
-        for n, step in enumerate(steps):
+        for step in steps:
             code = (
                 f"import sys\n{step}\n"
                 "print('scipy.optimize' in sys.modules, [m for m in sys.modules if m.startswith('scipy')])\n"
@@ -858,8 +880,7 @@ class TestCli:
             )
             scipy_line, random_line = out.stdout.splitlines()[-2:]
             assert scipy_line == "False []", step
-            if n < 2:
-                assert random_line == "False", step
+            assert random_line == "False", step
 
 
 class TestBundledRuns:
