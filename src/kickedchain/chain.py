@@ -91,6 +91,11 @@ class RotorImageParams:
     hbar_eff: float
 
 
+def _m_range(n_sites: int) -> tuple[int, int]:
+    """Least and greatest integer m whose wavenumber 2*pi*m/n_sites lies in (-pi, pi]."""
+    return -((n_sites - 1) // 2), n_sites // 2
+
+
 def wavenumber_grid(n_sites: int) -> np.ndarray:
     """Magnon wavenumbers 2*pi*m/n_sites on the standard DFT grid.
 
@@ -99,7 +104,8 @@ def wavenumber_grid(n_sites: int) -> np.ndarray:
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    m = np.arange(-((n_sites - 1) // 2), n_sites // 2 + 1)
+    lo, hi = _m_range(n_sites)
+    m = np.arange(lo, hi + 1)
     return 2.0 * np.pi * m / n_sites
 
 
@@ -132,8 +138,7 @@ def magnon_state(n_sites: int, m: int) -> np.ndarray:
     ``m`` must index a wavenumber of :func:`wavenumber_grid`, i.e. lie in
     [-ceil(N/2)+1, floor(N/2)].
     """
-    lo = -((n_sites - 1) // 2)
-    hi = n_sites // 2
+    lo, hi = _m_range(n_sites)
     if not lo <= m <= hi:
         raise ValueError(f"m must lie in [{lo}, {hi}] for n_sites={n_sites}, got {m}")
     k = 2.0 * np.pi * m / n_sites

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .feasibility import feasibility
+from .feasibility import DEFAULT_T0_SECONDS, feasibility
 from .scenario import ConfigError, run_scenario, validate_config
 
 
@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     feas_p.add_argument("--sites", type=int, required=True, help="number of chain sites")
     feas_p.add_argument("--j-hz", type=float, required=True, help="exchange rate in Hz")
     feas_p.add_argument(
-        "--t0-s", type=float, default=1e-6, help="pulse repetition period in seconds"
+        "--t0-s", type=float, default=DEFAULT_T0_SECONDS, help="pulse repetition period in seconds"
     )
 
     val_p = sub.add_parser("validate", help="check a scenario config without running it")

@@ -29,6 +29,14 @@ PROBABILITY_TOL = 1e-6
 LOG_FLOOR = 1e-300
 # Below this r-squared a ln P fit is not considered exponential decay.
 EXPONENTIAL_R2_MIN = 0.5
+# Spike tracking: a spike's mass is summed over +-MASS_WINDOW sites; it must
+# clear THRESHOLD_FACTOR times the median of the central remnant band, and
+# stand MIN_CONTRAST above its local background.  Localized distributions
+# fluctuate only order-10x site to site, while a coherent ballistic spike is
+# orders of magnitude above its background.
+MASS_WINDOW = 10
+THRESHOLD_FACTOR = 5.0
+MIN_CONTRAST = 50.0
 
 
 def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
@@ -137,28 +145,25 @@ class SpikeTrack:
             )
 
 
-def _local_contrast(p, site, w):
+def _local_contrast(p, site):
     """Peak height relative to the median background in a surrounding ring."""
     n = len(p)
-    ring = np.arange(site - 8 * w, site + 8 * w + 1) % n
-    peak = np.arange(site - w, site + w + 1) % n
+    ring = np.arange(site - 8 * MASS_WINDOW, site + 8 * MASS_WINDOW + 1) % n
+    peak = np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1) % n
     background = np.median(p[np.setdiff1d(ring, peak)])
     return p[site] / background if background > 0 else np.inf
 
 
-def _outermost_spike(p, d, side_mask, threshold, w, min_contrast):
+def _outermost_spike(p, d, side_mask, threshold):
     """Outermost qualifying local maximum among sites in ``side_mask``.
 
-    Candidates must clear ``threshold`` and stand out from their local
-    background by ``min_contrast``; the latter rejects the site-to-site
-    intensity fluctuations of merely localized distributions, which reach
-    only order-10x their surroundings while a coherent ballistic spike is
-    orders of magnitude above its background.
+    Candidates must clear ``threshold`` and stand ``MIN_CONTRAST`` above
+    their local background.
     """
     is_max = (p > np.roll(p, 1)) & (p > np.roll(p, -1)) & (p >= threshold) & side_mask
     candidates = np.nonzero(is_max)[0]
     for site in sorted(candidates, key=lambda s: abs(d[s]), reverse=True):
-        if _local_contrast(p, site, w) >= min_contrast:
+        if _local_contrast(p, site) >= MIN_CONTRAST:
             return int(site)
     return None
 
@@ -167,19 +172,16 @@ def detect_accelerator_modes(
     record: PropagationRecord,
     b_kick: float,
     center: int,
-    mass_window: int = 10,
-    threshold_factor: float = 5.0,
-    min_contrast: float = 50.0,
 ) -> tuple[SpikeTrack, SpikeTrack]:
     """Track counter-propagating probability spikes across snapshots.
 
     For every snapshot, each side of the kick center is scanned for its
-    outermost local maximum that (a) exceeds ``threshold_factor`` times the
+    outermost local maximum that (a) exceeds ``THRESHOLD_FACTOR`` times the
     median probability of the central remnant band (sites within one
-    ballistic hop 2*pi/b_kick of the center) and (b) stands ``min_contrast``
+    ballistic hop 2*pi/b_kick of the center) and (b) stands ``MIN_CONTRAST``
     above the median background around it.  Qualifying spikes are accumulated
     into a left and a right track with the per-spike mass summed over a
-    +-``mass_window`` site window; no qualifying spike is not an error, it
+    +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
     just leaves the track empty.
     """
     if b_kick <= 0:
@@ -195,12 +197,12 @@ def detect_accelerator_modes(
     left = SpikeTrack(side="left")
     right = SpikeTrack(side="right")
     for period, p in record.snapshots:
-        threshold = threshold_factor * float(np.median(p[band]))
+        threshold = THRESHOLD_FACTOR * float(np.median(p[band]))
         for track, mask in ((left, d < 0), (right, d > 0)):
-            site = _outermost_spike(p, d, mask, threshold, mass_window, min_contrast)
+            site = _outermost_spike(p, d, mask, threshold)
             if site is None:
                 continue
-            window = (np.arange(site - mass_window, site + mass_window + 1)) % n
+            window = (np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1)) % n
             track.periods.append(period)
             track.sites.append(site)
             track.displacements.append(int(d[site]))

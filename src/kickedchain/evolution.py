@@ -240,7 +240,7 @@ def evolve(
     return _split_step(amps, steps, "fft", n_periods, snapshot_every)[0]
 
 
-def build_floquet(config: ChainConfig, schedule: KickSchedule, max_dense: int = MAX_DENSE_SITES) -> np.ndarray:
+def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
     """Dense one-period operator by direct kernel summation (oracle route).
 
     The exchange block is W[r, s] = (1/N) sum_m exp(i*(r-s)*k_m) *
@@ -248,8 +248,8 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule, max_dense: int = 
     wavenumber grid; kicks multiply rows by their diagonal phases.
     """
     n = config.n_sites
-    if n > max_dense:
-        raise ValueError(f"n_sites {n} exceeds dense cap {max_dense}")
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"n_sites {n} exceeds dense cap {MAX_DENSE_SITES}")
     _check_chain_phases(config, schedule)
 
     ks = wavenumber_grid(n)

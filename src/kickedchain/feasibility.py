@@ -10,7 +10,7 @@ enough that the instantaneous-kick (split-step) picture holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["FeasibilityReport", "feasibility", "AU_TIME_SECONDS", "FIELD_TESLA_PER_AU"]
 
@@ -29,6 +29,9 @@ FIELD_TESLA_PER_AU = 0.47 / 1e-6
 KICK_ACTION_MIN = 10.0
 KICK_ACTION_STRONG = (100.0, 1000.0)
 SPLIT_STEP_MAX = 0.1
+
+# Pulse repetition period, in seconds, when none is given.
+DEFAULT_T0_SECONDS = 1e-6
 
 # The chain length enters the estimates as a float, exact up to 2**53.
 _MAX_SITES = 2**53
@@ -59,19 +62,11 @@ class FeasibilityReport:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "b_range_au": self.b_range_au,
-            "n_sites": self.n_sites,
-            "j_hz": self.j_hz,
-            "b_kick_au": self.b_kick_au,
-            "b_range_tesla": self.b_range_tesla,
-            "pulse_min_au": _bound(self.pulse_min_au),
-            "pulse_max_au": _bound(self.pulse_max_au),
-            "strong_kick_window_au": [_bound(t) for t in self.strong_kick_window_au],
-            "exchange_action": self.exchange_action,
-            "exchange_action_ok": self.exchange_action_ok,
-            "feasible": self.feasible,
-        }
+        out = asdict(self)
+        out["pulse_min_au"] = _bound(self.pulse_min_au)
+        out["pulse_max_au"] = _bound(self.pulse_max_au)
+        out["strong_kick_window_au"] = [_bound(t) for t in self.strong_kick_window_au]
+        return out
 
 
 def _bound(duration: float) -> float | None:
@@ -82,7 +77,7 @@ def feasibility(
     b_range_au: float,
     n_sites: int,
     j_hz: float,
-    t0_seconds: float = 1e-6,
+    t0_seconds: float = DEFAULT_T0_SECONDS,
 ) -> FeasibilityReport:
     """Estimate pulse-duration bounds for a parabolic field of given range.
 

@@ -15,6 +15,7 @@ drift-length parameter.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -47,6 +48,8 @@ _DRAW_BUDGET = 8 * 2**20
 # Bytes of the transposed panel of draws a tile steps through a chunk by; it
 # stays in L2 (2 MiB on the 2-vCPU Xeon the benchmark figures come from).
 _PANEL_BUDGET = 2**20
+# |V''(x*)| below which a fixed point is reported as marginal.
+MARGINAL_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,8 +137,6 @@ def _step(x, p, spec: MapSpec, draws=None):
         p = p - spec.k_eps * np.sin(x)
         x = x + p * spec.tau_eps
     elif isinstance(spec, RandomRescaledDoubleKickMap):
-        if draws is None:
-            raise ValueError("random map variant requires an rng")
         x = draws
         p = p - spec.k_eps * np.sin(x)
         x = x + p
@@ -366,63 +367,43 @@ class FixedPoint:
     stability: str  # "stable" | "unstable" | "marginal"
 
 
-def _potential_derivatives(spec: MapSpec):
+def fixed_point_stability(spec: MapSpec) -> list[FixedPoint]:
+    """All period-1 fixed points of a single-drift kicked map on p = 0.
+
+    The kick force of the standard (k1 = k, k2 = 0) and double-well maps
+    factors as V'(x) = sin(x) * (k1 + 4*k2*cos(x)), so its roots on
+    [0, 2*pi) are 0 and pi, plus +-arccos(-k1/(4*k2)) mod 2*pi when
+    |k1| <= 4*|k2|; a root shared by both factors is listed once.  Each is
+    classified by the tangent-map trace 2 - V''(x*).
+    """
     if isinstance(spec, StandardMap):
         if spec.k == 0:
             raise ValueError("k = 0 has no isolated fixed points")
-        return (lambda x: spec.k * np.sin(x), lambda x: spec.k * np.cos(x))
-    if isinstance(spec, DoubleWellMap):
+        k1, k2 = spec.k, 0.0
+    elif isinstance(spec, DoubleWellMap):
         if spec.k1 == 0 and spec.k2 == 0:
             raise ValueError("k1 = k2 = 0 has no isolated fixed points")
-        return (
-            lambda x: spec.k1 * np.sin(x) + 2.0 * spec.k2 * np.sin(2.0 * x),
-            lambda x: spec.k1 * np.cos(x) + 4.0 * spec.k2 * np.cos(2.0 * x),
+        k1, k2 = spec.k1, spec.k2
+    else:
+        raise ValueError(
+            f"fixed-point analysis applies to single-drift kicked maps, not {type(spec).__name__}"
         )
-    raise ValueError(
-        f"fixed-point analysis applies to single-drift kicked maps, not {type(spec).__name__}"
-    )
 
-
-def fixed_point_stability(
-    spec: MapSpec,
-    n_scan: int = 4096,
-    xtol: float = 1e-12,
-    marginal_tol: float = 1e-9,
-) -> list[FixedPoint]:
-    """All period-1 fixed points of a single-drift kicked map on p = 0.
-
-    Roots of the kick force V'(x) on [0, 2*pi) are located by a uniform
-    bracketing scan refined with Brent's method, then classified by the
-    tangent-map trace 2 - V''(x*).
-    """
-    # imported here: scipy.optimize is most of the package's import time and no
-    # run path needs it
-    from scipy.optimize import brentq
-
-    vp, vpp = _potential_derivatives(spec)
-    xs = np.linspace(0.0, TWO_PI, n_scan + 1)
-    fs = vp(xs)
-
-    roots = []
-    for i in range(n_scan):
-        if fs[i] == 0.0:
-            roots.append(xs[i])
-        elif fs[i] * fs[i + 1] < 0.0:
-            roots.append(brentq(vp, xs[i], xs[i + 1], xtol=xtol))
+    # acos(+-1) is exactly 0 or pi, and -pi % 2*pi is pi, so a coinciding
+    # root is an equal float and the set keeps one copy
+    roots = {0.0, math.pi}
+    if abs(k1) <= 4.0 * abs(k2):
+        x = math.acos(-k1 / (4.0 * k2))
+        roots |= {x, -x % TWO_PI}
 
     points = []
-    seen = []
-    for x in roots:
-        x = float(np.mod(x, TWO_PI))
-        if any(abs(x - y) < 1e-8 or abs(abs(x - y) - TWO_PI) < 1e-8 for y in seen):
-            continue
-        seen.append(x)
-        curvature = float(vpp(x))
-        if abs(curvature) < marginal_tol:
+    for x in sorted(roots):
+        curvature = k1 * math.cos(x) + 4.0 * k2 * math.cos(2.0 * x)
+        if abs(curvature) < MARGINAL_TOL:
             stability = "marginal"
         elif 0.0 < curvature < 4.0:
             stability = "stable"
         else:
             stability = "unstable"
         points.append(FixedPoint(x=x, p=0.0, trace=2.0 - curvature, stability=stability))
-    return sorted(points, key=lambda fp: fp.x)
+    return points

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .chain import ChainConfig, ChainModel, delta_state, magnon_state
+from .chain import ChainConfig, ChainModel, _m_range, delta_state, magnon_state
 from .diagnostics import (
     cell_occupancy,
     detect_accelerator_modes,
@@ -34,7 +34,7 @@ from .evolution import (
     evolve,
     qkr_evolve,
 )
-from .feasibility import _MAX_SITES, feasibility
+from .feasibility import _MAX_SITES, DEFAULT_T0_SECONDS, feasibility
 from .maps import (
     DoubleKickMap,
     DoubleWellMap,
@@ -167,7 +167,7 @@ def _validate_initial(obj, path, n_sites):
     if set(obj) == {"delta_site"}:
         return {"delta_site": _integer(obj, path, "delta_site", 0, n_sites - 1)}
     if set(obj) == {"magnon_m"}:
-        lo, hi = -((n_sites - 1) // 2), n_sites // 2
+        lo, hi = _m_range(n_sites)
         return {"magnon_m": _integer(obj, path, "magnon_m", lo, hi)}
     raise ConfigError(f"{path}: expected exactly one of 'delta_site' or 'magnon_m'")
 
@@ -253,7 +253,7 @@ def _validate_feasibility(raw, out):
     out["t0_seconds"] = (
         _number(raw, "config", "t0_seconds", minimum=0.0, exclusive=True)
         if "t0_seconds" in raw
-        else 1e-6
+        else DEFAULT_T0_SECONDS
     )
 
 

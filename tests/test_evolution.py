@@ -195,10 +195,11 @@ class TestBuildFloquet:
         expected = np.exp(-1j * z) * bessel
         np.testing.assert_allclose(np.diag(u), np.full(n, expected), atol=1e-12)
 
-    def test_rejects_oversize(self):
+    def test_rejects_oversize(self, monkeypatch):
+        monkeypatch.setattr(evolution, "MAX_DENSE_SITES", 32)
         cfg = ChainConfig(n_sites=64, j1=1.0)
         with pytest.raises(ValueError, match="cap"):
-            build_floquet(cfg, SingleKick(0.1, 1.0), max_dense=32)
+            build_floquet(cfg, SingleKick(0.1, 1.0))
 
     @pytest.mark.parametrize(
         "schedule",

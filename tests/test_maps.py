@@ -1,5 +1,6 @@
 """Classical map tests: stepping, ensembles, sections, fixed points."""
 
+import math
 import sys
 import tracemalloc
 import warnings
@@ -269,6 +270,64 @@ class TestFixedPointStability:
         points = fixed_point_stability(DoubleWellMap(k1=0.4, k2=-0.1))
         origin = min(points, key=lambda fp: abs(fp.x))
         assert origin.stability == "marginal"
+
+    @pytest.mark.parametrize(
+        "k1, expected",
+        [
+            # a 4096-cell sign scan saw neither pi nor the root at 3.143007 here
+            (-0.4, [(0.0, "unstable"), (3.140178, "stable"),
+                    (np.pi, "unstable"), (3.143007, "stable")]),
+            # ... nor the mirror 0.001414 of the root at 6.281771
+            (0.4, [(0.0, "unstable"), (0.001414, "stable"),
+                   (np.pi, "unstable"), (6.281771, "stable")]),
+        ],
+    )
+    def test_pitchfork_pair_in_one_scan_cell(self, k1, expected):
+        points = fixed_point_stability(DoubleWellMap(k1=k1, k2=-0.1000001))
+        assert [fp.x for fp in points] == pytest.approx([x for x, _ in expected], abs=1e-6)
+        assert [fp.stability for fp in points] == [label for _, label in expected]
+
+    @given(
+        pitchfork=st.booleans(),
+        standard=st.booleans(),
+        a=st.floats(min_value=-10, max_value=10),
+        b=st.floats(min_value=-3, max_value=3),
+        log_delta=st.floats(min_value=-12, max_value=-6),
+        signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_closed_form_roots(self, pitchfork, standard, a, b, log_delta, signs):
+        # half the draws lie within 1e-6 of the pitchfork k1 = +-4*k2
+        if pitchfork:
+            k1, k2 = signs[0] * 4 * b * (1 + signs[1] * 10**log_delta), b
+            spec = DoubleWellMap(k1=k1, k2=k2)
+        elif standard:
+            spec, k1, k2 = StandardMap(k=a), a, 0.0
+        else:
+            spec, k1, k2 = DoubleWellMap(k1=a, k2=b), a, b
+        if k1 == 0 and k2 == 0:
+            with pytest.raises(ValueError):
+                fixed_point_stability(spec)
+            return
+        points = fixed_point_stability(spec)
+        xs = [fp.x for fp in points]
+        assert len(points) in (2, 4)
+        assert xs == sorted(xs) and 0.0 in xs and np.pi in xs
+        scale = abs(k1) + 4 * abs(k2)
+        for fp in points:
+            assert 0.0 <= fp.x < 2 * np.pi and fp.p == 0.0
+            assert abs(k1 * np.sin(fp.x) + 2 * k2 * np.sin(2 * fp.x)) <= 1e-12 * scale
+            mirror = (2 * np.pi - fp.x) % (2 * np.pi)
+            gaps = np.abs(np.asarray(xs) - mirror)
+            assert np.min(np.minimum(gaps, 2 * np.pi - gaps)) <= 1e-12
+            curvature = k1 * math.cos(fp.x) + 4 * k2 * math.cos(2 * fp.x)
+            assert fp.trace == pytest.approx(2.0 - curvature, rel=1e-12, abs=1e-12)
+            if abs(curvature) < maps_module.MARGINAL_TOL:
+                assert fp.stability == "marginal"
+            elif 0.0 < curvature < 4.0:  # |trace| < 2
+                assert fp.stability == "stable"
+            else:
+                assert fp.stability == "unstable"
 
     def test_rejects_zero_kick(self):
         with pytest.raises(ValueError):

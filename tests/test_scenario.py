@@ -848,11 +848,10 @@ class TestCli:
         assert not list(tmp_path.glob("big_*"))
 
     def test_cli_import_skips_scipy_optimize(self, tmp_path):
-        # scipy.fft is loaded by the first propagation and scipy.optimize by
-        # fixed_point_stability; importing the CLI, validating and a classical
-        # run load no scipy module at all; numpy.random is loaded only by a run
-        # that draws, never by importing the CLI, validating or a points section
-        # of a deterministic map
+        # scipy.fft is loaded by the first propagation; importing the CLI,
+        # validating, a classical run and the fixed points load no scipy module
+        # at all; numpy.random is loaded only by a run that draws, never by
+        # importing the CLI, validating or a points section of a deterministic map
         section = tmp_path / "sos.json"
         section.write_text(json.dumps({
             "scenario": "surface_of_section",
@@ -867,6 +866,8 @@ class TestCli:
             "import kickedchain.cli",
             f"from kickedchain.cli import main; assert main(['validate', '--config', {str(valid)!r}]) == 0",
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(section)!r}]) == 0",
+            "from kickedchain import DoubleWellMap, fixed_point_stability\n"
+            "fixed_point_stability(DoubleWellMap(0.35, 0.35))",
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
         for step in steps:
