@@ -12,11 +12,11 @@ the products ``j1 * period`` and ``kick strength * duration``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
+
+from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
     "ChainModel",
@@ -30,54 +30,6 @@ __all__ = [
 ]
 
 
-class ChainModel(str, Enum):
-    """Exchange model selecting the one-magnon dispersion."""
-
-    FERROMAGNET = "ferromagnet"
-    NNN_LADDER = "nnn_ladder"
-    ANTIFERRO_LINEAR = "antiferro_linear"
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Ring of spins with nearest (j1) and next-nearest (j2) exchange.
-
-    ``kick_center`` is the site index about which pulsed parabolic fields are
-    centered; it defaults to the middle of the chain.
-    """
-
-    n_sites: int
-    j1: float
-    j2: float = 0.0
-    kick_center: int | None = None
-    model: ChainModel = ChainModel.FERROMAGNET
-
-    def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.kick_center is None:
-            object.__setattr__(self, "kick_center", self.n_sites // 2)
-        if not 0 <= self.kick_center < self.n_sites:
-            raise ValueError(
-                f"kick_center must lie in [0, {self.n_sites}), got {self.kick_center}"
-            )
-        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
-            raise ValueError(f"j1 and j2 must be finite, got {self.j1}, {self.j2}")
-        model = ChainModel(self.model)
-        object.__setattr__(self, "model", model)
-        if model is ChainModel.FERROMAGNET:
-            if not self.j1 > 0:
-                raise ValueError("ferromagnet requires j1 > 0")
-            if self.j2 != 0:
-                raise ValueError("ferromagnet requires j2 == 0")
-        elif model is ChainModel.NNN_LADDER:
-            if not self.j1 > 0:
-                raise ValueError("nnn_ladder requires j1 > 0")
-            if self.j2 == 0:
-                raise ValueError("nnn_ladder requires j2 != 0")
-        # antiferro_linear ignores j2 entirely
-
-
 @dataclass(frozen=True)
 class RotorImageParams:
     """Kicked-rotor constants of the one-body image system.
@@ -89,11 +41,6 @@ class RotorImageParams:
 
     k: float
     hbar_eff: float
-
-
-def _m_range(n_sites: int) -> tuple[int, int]:
-    """Least and greatest integer m whose wavenumber 2*pi*m/n_sites lies in (-pi, pi]."""
-    return -((n_sites - 1) // 2), n_sites // 2
 
 
 def wavenumber_grid(n_sites: int) -> np.ndarray:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import check_result_bytes, check_work
-from .chain import ChainConfig, ChainModel, delta_state, dispersion, wavenumber_grid
+from .chain import delta_state, dispersion, wavenumber_grid
+from .specs import ChainConfig, ChainModel, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick
 
 __all__ = [
     "SingleKick", "DoubleKick", "RandomDoubleKick", "KickSchedule", "PropagationRecord",
@@ -41,65 +42,6 @@ QKR_LEAK_THRESHOLD = 1e-6
 # phases overflow.  The largest bundled phase is 2**19 rad (localization,
 # qkr_localization).
 _MAX_PHASE = 2.0**40
-
-
-@dataclass(frozen=True)
-class SingleKick:
-    """One parabolic kick of curvature ``b_kick`` per period."""
-
-    b_kick: float
-    period: float
-
-    def __post_init__(self):
-        _check_schedule(self.period, b_kick=self.b_kick)
-
-
-@dataclass(frozen=True)
-class DoubleKick:
-    """Alternating weak/strong parabolic kicks, one pair per period.
-
-    The intended regime is b_strong/b_weak >> 1, mirroring the long drift
-    between kick pairs of the double-kicked rotor.
-    """
-
-    b_weak: float
-    b_strong: float
-    period: float
-
-    def __post_init__(self):
-        _check_schedule(self.period, b_weak=self.b_weak, b_strong=self.b_strong)
-
-
-@dataclass(frozen=True)
-class RandomDoubleKick:
-    """Double kick with the strong parabola replaced by a static random field.
-
-    The strong kick's site phases are drawn once from ``seed``, i.i.d. uniform
-    on [0, 2*pi), and the same profile is reapplied every period.  This is the
-    long-drift limit of the double kick: there the strong kick contributes a
-    fixed, pseudo-random-in-site phase each period, and it is that frozen
-    randomness which decorrelates successive kick pairs while preserving the
-    intra-pair correlations responsible for trapping.
-    """
-
-    b_weak: float
-    period: float
-    seed: int
-
-    def __post_init__(self):
-        _check_schedule(self.period, b_weak=self.b_weak)
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-
-
-KickSchedule = SingleKick | DoubleKick | RandomDoubleKick
-
-
-def _check_schedule(period, **strengths):
-    # period 0 is allowed as the degenerate do-nothing schedule
-    for name, value in {"period": period, **strengths}.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

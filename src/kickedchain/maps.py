@@ -23,6 +23,14 @@ from itertools import repeat
 import numpy as np
 
 from ._limits import check_result_bytes, check_work
+from .specs import (
+    DoubleKickMap,
+    DoubleWellMap,
+    MapSpec,
+    RandomRescaledDoubleKickMap,
+    RescaledDoubleKickMap,
+    StandardMap,
+)
 
 __all__ = [
     "StandardMap",
@@ -52,73 +60,6 @@ _PANEL_BUDGET = 2**20
 MARGINAL_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class StandardMap:
-    """p' = p - k*sin(x); x' = x + p'."""
-
-    k: float
-
-
-@dataclass(frozen=True)
-class DoubleKickMap:
-    """Kick pairs separated by a short drift eps inside the pair, tau between pairs.
-
-    One step is the full pair: kick, drift eps, kick, drift tau.
-    """
-
-    k: float
-    eps: float
-    tau: float
-
-    def __post_init__(self):
-        if not (self.eps > 0 and self.tau > 0):  # also rejects NaN
-            raise ValueError(f"eps and tau must be > 0, got {self.eps}, {self.tau}")
-
-
-@dataclass(frozen=True)
-class RescaledDoubleKickMap:
-    """Double-kick pair in rescaled variables where cells have width 2*pi.
-
-    Momentum and kick strength are rescaled by the intra-pair drift, leaving
-    k_eps and the drift ratio tau_eps (intended regime tau_eps >> 1).
-    """
-
-    k_eps: float
-    tau_eps: float
-
-    def __post_init__(self):
-        if not self.tau_eps > 0:  # also rejects NaN
-            raise ValueError(f"tau_eps must be > 0, got {self.tau_eps}")
-
-
-@dataclass(frozen=True)
-class RandomRescaledDoubleKickMap:
-    """Rescaled double-kick pair whose entry angle is redrawn uniformly each pair."""
-
-    k_eps: float
-
-
-@dataclass(frozen=True)
-class DoubleWellMap:
-    """Kicked map with a two-harmonic potential -k1*cos(x) - k2*cos(2x).
-
-    p' = p - k1*sin(x) - 2*k2*sin(2x); x' = x + p'.  The factor 2 on k2 is
-    the derivative of cos(2x).
-    """
-
-    k1: float
-    k2: float
-
-
-MapSpec = (
-    StandardMap
-    | DoubleKickMap
-    | RescaledDoubleKickMap
-    | RandomRescaledDoubleKickMap
-    | DoubleWellMap
-)
 
 
 def _step(x, p, spec: MapSpec, draws=None):

@@ -10,40 +10,28 @@ seed, and the package version, and is byte-reproducible for a fixed config.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
 import warnings as _warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .chain import ChainConfig, ChainModel, _m_range, delta_state, magnon_state
-from .diagnostics import (
-    cell_occupancy,
-    detect_accelerator_modes,
-    distribution_stats,
-    fit_localization_length,
-)
-from .evolution import (
-    DoubleKick,
-    RandomDoubleKick,
-    SingleKick,
-    _check_run,
-    evolve,
-    qkr_evolve,
-)
 from .feasibility import _MAX_SITES, DEFAULT_T0_SECONDS, feasibility
-from .maps import (
+from .specs import (
+    _MAP_DRIFTS,
+    ChainConfig,
+    ChainModel,
+    DoubleKick,
     DoubleKickMap,
     DoubleWellMap,
+    RandomDoubleKick,
     RandomRescaledDoubleKickMap,
     RescaledDoubleKickMap,
+    SingleKick,
     StandardMap,
-    _check_ensemble_size,
-    iterate_ensemble,
-    surface_of_section,
+    _m_range,
 )
 
 __all__ = ["ConfigError", "validate_config", "run_scenario", "SCENARIOS"]
@@ -65,7 +53,36 @@ _MAPS = {
 }
 # The one hand-kept rule on those fields: these durations must be > 0;
 # schedule strengths must be >= 0 and map strengths are unbounded.
-_DURATIONS = ("period", "eps", "tau", "tau_eps")
+_DURATIONS = ("period", *_MAP_DRIFTS)
+
+
+# The runners' callees from the numeric modules.  Those load numpy, which
+# validation never needs, so the callees are bound to this module on first
+# use, not at import.  The runners look them up here, where a caller may also
+# replace one (the tracer in perfbench/spans.py wraps several).
+_ENGINE = {
+    **dict.fromkeys(("delta_state", "magnon_state"), "chain"),
+    **dict.fromkeys(("_check_run", "evolve", "qkr_evolve"), "evolution"),
+    **dict.fromkeys(("_check_ensemble_size", "iterate_ensemble", "surface_of_section"), "maps"),
+    **dict.fromkeys(
+        ("cell_occupancy", "detect_accelerator_modes", "distribution_stats", "fit_localization_length"),
+        "diagnostics",
+    ),
+}
+
+
+def _bind_engine() -> None:
+    """Bind every engine callee that is not bound yet."""
+    for name, module in _ENGINE.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name):
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_engine()
+    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -281,6 +298,8 @@ def validate_config(raw: dict) -> dict:
 
 
 def _classical_initials(initial_cfg: dict, seed):
+    import numpy as np
+
     if "points" in initial_cfg:
         pts = np.asarray(initial_cfg["points"], dtype=float)
         return pts[:, 0].copy(), pts[:, 1].copy()
@@ -353,7 +372,7 @@ def _localization(cfg, record, s0) -> dict:
     if window[0] < window[1]:
         try:
             fit = fit_localization_length(record.final_distribution, s0, window)
-            keys["loc_length"] = fit.length if np.isfinite(fit.length) else None
+            keys["loc_length"] = fit.length if math.isfinite(fit.length) else None
             keys["loc_fit_r2"] = fit.r_squared
         except ValueError as exc:
             keys["warnings"] = [f"localization fit skipped: {exc}"]
@@ -408,12 +427,15 @@ def _run_chain(cfg):
 def _run_qkr(cfg):
     rotor = cfg["rotor"]
     record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
-    labels = rotor["initial_momentum"] + np.arange(rotor["n_basis"]) - rotor["n_basis"] // 2
+    lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
+    labels = range(lo, lo + rotor["n_basis"])
     report = _propagation_report(cfg, record, rotor["n_basis"] // 2)
     return report, ("_dist.csv", _write_dist_csv, record.snapshots, labels)
 
 
 def _run_classical(cfg):
+    import numpy as np
+
     fields = dict(cfg["map"])
     spec = _MAPS[fields.pop("variant")](**fields)
     init_ss = run_ss = None
@@ -498,6 +520,7 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     if out_prefix is not None:
         cfg["output"] = out_prefix
 
+    _bind_engine()
     report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
     prefix = Path(cfg["output"])
     report_path = prefix.parent / (prefix.name + "_report.json")

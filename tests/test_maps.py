@@ -443,6 +443,25 @@ class TestMapValidation:
         with pytest.raises(ValueError, match="must be > 0"):
             ctor()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (StandardMap, {"k": 1.7}),
+            (DoubleKickMap, {"k": 0.8, "eps": 0.05, "tau": 2.0}),
+            (RescaledDoubleKickMap, {"k_eps": 0.35, "tau_eps": 60.0}),
+            (RandomRescaledDoubleKickMap, {"k_eps": 0.35}),
+            (DoubleWellMap, {"k1": 0.35, "k2": -0.35}),
+        ],
+        ids=["standard", "double_kick", "rescaled", "random_rescaled", "double_well"],
+    )
+    def test_rejects_non_finite_coefficients(self, cls, fields, bad):
+        # DoubleWellMap(nan, 1.0) used to give fixed points with trace nan,
+        # StandardMap(inf) traces of +-inf, and eps = inf passed the eps > 0 check
+        for name in fields:
+            with pytest.raises(ValueError, match=rf"^{name} must be (> 0 and )?finite, got {bad}$"):
+                cls(**{**fields, name: bad})
+
 
 ALL_SPECS = DETERMINISTIC_SPECS + [RandomRescaledDoubleKickMap(k_eps=0.35)]
 

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -882,6 +883,62 @@ class TestCli:
             scipy_line, random_line = out.stdout.splitlines()[-2:]
             assert scipy_line == "False []", step
             assert random_line == "False", step
+
+    def test_front_ends_load_no_numpy(self, tmp_path):
+        # importing the package or the CLI, --help, validating and the
+        # feasibility estimate need only the standard library; a run loads numpy
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(small_single_kick(tmp_path)))
+        main_ = "from kickedchain.cli import main\n"
+        steps = [
+            "import kickedchain",
+            "import kickedchain.cli",
+            main_ + "try:\n    main(['--help'])\nexcept SystemExit as exc:\n    assert exc.code == 0",
+            *(
+                main_ + f"assert main(['validate', '--config', {str(path)!r}]) == 0"
+                for path in sorted(CONFIG_DIR.glob("*.json"))
+            ),
+            main_ + "assert main(['feasibility', '--b-range', '1e-6', '--sites', '100',"
+            " '--j-hz', '1e9']) == 0",
+            main_ + f"assert main(['run', '--config', {str(run)!r}]) == 0",
+        ]
+        # one interpreter runs the steps in order and records after each
+        # whether numpy is loaded; a module once loaded stays loaded
+        code = "import sys\nloaded = []\n" + "".join(
+            f"exec({step!r})\nloaded.append('numpy' in sys.modules)\n" for step in steps
+        ) + "print(loaded)"
+        env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert len(steps) == 14
+        assert out.stdout.splitlines()[-1] == str([False] * 13 + [True])
+
+
+class TestPackageExports:
+    HOMES = ("chain", "diagnostics", "evolution", "feasibility", "maps")
+
+    def test_names_are_their_home_objects(self):
+        modules = [importlib.import_module(f"kickedchain.{name}") for name in self.HOMES]
+        for name in kickedchain.__all__:
+            if name == "__version__":
+                continue
+            homes = [m for m in modules if name in m.__all__]
+            assert homes, name
+            for module in homes:
+                assert getattr(kickedchain, name) is getattr(module, name), (name, module)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from kickedchain import *", namespace)
+        assert set(kickedchain.__all__) <= namespace.keys()
+
+    def test_dir_lists_every_name(self):
+        assert set(kickedchain.__all__) <= set(dir(kickedchain))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(kickedchain, "no_such_name")
 
 
 class TestBundledRuns:
