@@ -9,6 +9,8 @@ is checked against ``MAX_WORK`` before the first step.  The bounds are fixed;
 they are not settings.
 """
 
+import operator
+
 MAX_RESULT_BYTES = 2**30
 # An element-step takes 14-115 ns on one core of a 2-vCPU Xeon (a site of a
 # 4096-site chain period, a trajectory of a 4096-trajectory step of the
@@ -36,3 +38,14 @@ def check_work(n_elements: int, n_steps: int, what: str) -> None:
     work = max(n_elements, _MIN_ELEMENTS) * n_steps
     if work > MAX_WORK:
         raise ValueError(f"{what} would take {work} element-steps, over the work cap of {MAX_WORK}")
+
+
+def check_integers(**values) -> None:
+    """Raise ``TypeError`` if a value is a bool or has no ``__index__``, as a float has."""
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, not bool")
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None

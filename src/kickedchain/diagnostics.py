@@ -8,6 +8,7 @@ for double-kick schedules.  All site arithmetic is cyclic (ring topology).
 
 from __future__ import annotations
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -56,7 +57,14 @@ def _check_probability(p) -> np.ndarray:
         raise ValueError(
             f"probabilities sum to {float(total)!r}, expected 1 within {PROBABILITY_TOL}"
         )
+    if not p.min() >= 0:
+        raise ValueError(f"probabilities must be >= 0, got {float(p.min())!r}")
     return p
+
+
+def _check_strength(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def distribution_stats(p, s0: int) -> tuple[float, float]:
@@ -184,8 +192,7 @@ def detect_accelerator_modes(
     +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
     just leaves the track empty.
     """
-    if b_kick <= 0:
-        raise ValueError("b_kick must be > 0")
+    _check_strength("b_kick", b_kick)
     if len(record.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track spikes")
 
@@ -219,8 +226,7 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
     gradient reaches +-pi.  A cell wider than the chain returns 1 with a
     warning.
     """
-    if b_weak <= 0:
-        raise ValueError("b_weak must be > 0")
+    _check_strength("b_weak", b_weak)
     p = np.asarray(p, dtype=float)
     n = len(p)
     half_width = np.pi / b_weak

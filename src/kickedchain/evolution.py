@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import check_result_bytes, check_work
+from ._limits import check_integers, check_result_bytes, check_work
 from .chain import delta_state, dispersion, wavenumber_grid
 from .specs import ChainConfig, ChainModel, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick
 
@@ -111,6 +111,7 @@ def _check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
 
 def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
     """Check a propagation's sizes and work against the caps before anything is built."""
+    check_integers(n_periods=n_periods, snapshot_every=snapshot_every)
     if n > MAX_TRANSFORM_SITES:
         raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
     if n_periods < 0:
@@ -226,6 +227,7 @@ def qkr_evolve(
     1e-6 after any period, recorded or not, a truncation-leakage warning is
     attached to the record.
     """
+    check_integers(initial_momentum=initial_momentum, n_basis=n_basis)
     if n_basis < 2:
         raise ValueError("n_basis must be >= 2")
     if not math.isfinite(k):

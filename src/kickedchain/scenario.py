@@ -72,7 +72,7 @@ _ENGINE = {
 
 
 def _bind_engine() -> None:
-    """Bind every engine callee that is not bound yet."""
+    """Bind every engine callee that is not bound yet; a runner that uses one calls this."""
     for name, module in _ENGINE.items():
         if name not in globals():
             globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
@@ -316,28 +316,27 @@ def _classical_initials(initial_cfg: dict, seed):
 
 # The CSV writers below keep the bytes of csv.writer's default dialect: rows end
 # in "\r\n", floats are their shortest repr, labels are str(int), nothing is
-# quoted.  Each snapshot or trajectory is formatted in one join and written, so
-# at most one of them is held as text at a time.
+# quoted.  Each file has one row template, its labels filled in, a "\0" where
+# the snapshot's period or the trajectory goes and a "%r" (float.__repr__) per
+# float.  Each snapshot or trajectory is one "%" over its flat list of floats,
+# so rows are built in C, no per-row list is made, and at most one block is
+# held as text at a time.
 
 
 def _write_dist_csv(path: Path, snapshots, site_labels) -> None:
-    sites = [f"{site}," for site in site_labels]
+    template = "".join([f"\0,{site},%r\r\n" for site in site_labels])
     with path.open("w", newline="") as fh:
         fh.write("period,site,probability\r\n")
         for period, dist in snapshots:
-            head = f"{period},"
-            rows = [f"{head}{site}{prob!r}\r\n" for site, prob in zip(sites, dist.tolist())]
-            fh.write("".join(rows))
+            fh.write(template.replace("\0", str(period)) % tuple(dist.tolist()))
 
 
 def _write_sos_csv(path: Path, sections) -> None:
-    steps = [f",{step}," for step in range(1, sections.shape[1] + 1)]
+    template = "".join([f"\0,{step},%r,%r\r\n" for step in range(1, sections.shape[1] + 1)])
     with path.open("w", newline="") as fh:
         fh.write("trajectory,step,x,p\r\n")
         for traj, points in enumerate(sections):
-            head = str(traj)
-            rows = [f"{head}{step}{x!r},{p!r}\r\n" for step, (x, p) in zip(steps, points.tolist())]
-            fh.write("".join(rows))
+            fh.write(template.replace("\0", str(traj)) % tuple(points.ravel().tolist()))
 
 
 def _write_report(path: Path, config: dict, report: dict) -> None:
@@ -407,6 +406,7 @@ def _rotor(cfg, record, s0) -> dict:
 
 
 def _run_chain(cfg):
+    _bind_engine()
     chain = ChainConfig(**cfg["chain"])
     cls = _SCHEDULES[cfg["scenario"]]
     seeded = {"seed": cfg["seed"]} if cls is RandomDoubleKick else {}
@@ -425,6 +425,7 @@ def _run_chain(cfg):
 
 
 def _run_qkr(cfg):
+    _bind_engine()
     rotor = cfg["rotor"]
     record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
     lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
@@ -436,6 +437,7 @@ def _run_qkr(cfg):
 def _run_classical(cfg):
     import numpy as np
 
+    _bind_engine()
     fields = dict(cfg["map"])
     spec = _MAPS[fields.pop("variant")](**fields)
     init_ss = run_ss = None
@@ -520,7 +522,6 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     if out_prefix is not None:
         cfg["output"] = out_prefix
 
-    _bind_engine()
     report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
     prefix = Path(cfg["output"])
     report_path = prefix.parent / (prefix.name + "_report.json")

@@ -52,6 +52,13 @@ class TestDistributionStats:
         with pytest.raises(ValueError, match="probabilities sum to nan, expected 1"):
             distribution_stats(p, 0)
 
+    def test_rejects_negative_entries(self):
+        # sums to 1; the variance used to come out as -1.0
+        p = np.zeros(10)
+        p[:2] = [2.0, -1.0]
+        with pytest.raises(ValueError, match="probabilities must be >= 0, got -1.0"):
+            distribution_stats(p, 1)
+
     @given(shift=st.integers(min_value=0, max_value=255))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_cyclic_relabeling(self, shift):
@@ -164,6 +171,13 @@ class TestAcceleratorDetector:
         with pytest.raises(ValueError):
             detect_accelerator_modes(record, b_kick=0.3, center=512)
 
+    @pytest.mark.parametrize("b_kick", [np.nan, np.inf])
+    def test_rejects_non_finite_strength(self, b_kick):
+        # NaN used to die converting the band radius to an integer
+        record = synthetic_spike_record()
+        with pytest.raises(ValueError, match="b_kick must be finite and > 0"):
+            detect_accelerator_modes(record, b_kick=b_kick, center=1024)
+
 
 class TestCellOccupancy:
     def test_delta_at_center(self):
@@ -187,3 +201,9 @@ class TestCellOccupancy:
     def test_rejects_nonpositive_strength(self):
         with pytest.raises(ValueError):
             cell_occupancy(np.full(64, 1 / 64), 0.0, 32)
+
+    @pytest.mark.parametrize("b_weak", [np.nan, np.inf])
+    def test_rejects_non_finite_strength(self, b_weak):
+        # NaN used to return an occupancy of 0.0
+        with pytest.raises(ValueError, match="b_weak must be finite and > 0"):
+            cell_occupancy(np.full(64, 1 / 64), b_weak, 32)

@@ -322,6 +322,42 @@ class TestWorkCap:
             qkr_evolve(0, 1.0, 1.0, 10, 32)
 
 
+class TestIntegerArguments:
+    """Counts and labels must be integers: a bool or a float is a TypeError."""
+
+    @staticmethod
+    def chain(n_periods=5, snapshot_every=1):
+        cfg = ChainConfig(n_sites=16, j1=1.0)
+        return evolve(delta_state(16, 8), cfg, SingleKick(0.1, 1.0), n_periods, snapshot_every)
+
+    def test_evolve_refuses_float_snapshot_every(self):
+        # a float modulo used to pick the snapshots at periods [0, 3, 5]
+        with pytest.raises(TypeError, match="snapshot_every must be an integer, got float"):
+            self.chain(snapshot_every=1.5)
+
+    def test_evolve_refuses_bool_n_periods(self):
+        # True used to run one period
+        with pytest.raises(TypeError, match="n_periods must be an integer, not bool"):
+            self.chain(n_periods=True)
+
+    def test_qkr_refuses_float_initial_momentum(self):
+        # 1.5 used to run, with momentum labels that are not integers
+        with pytest.raises(TypeError, match="initial_momentum must be an integer, got float"):
+            qkr_evolve(1.5, 1.0, 0.5, 2, 16)
+
+    @pytest.mark.parametrize("name", ["n_periods", "snapshot_every", "n_basis", "initial_momentum"])
+    @pytest.mark.parametrize("value", [2.0, True, np.True_])
+    def test_qkr_refuses_each_argument(self, name, value):
+        kwargs = dict(initial_momentum=0, k=1.0, hbar=0.5, n_periods=2, n_basis=16, snapshot_every=1)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            qkr_evolve(**{**kwargs, name: value})
+
+    def test_numpy_integers_are_accepted(self):
+        assert [p for p, _ in self.chain(np.int64(5), np.int32(2)).snapshots] == [0, 2, 4, 5]
+        rec = qkr_evolve(np.int64(-3), 1.0, 0.5, np.int64(2), np.int64(16), np.int64(1))
+        assert len(rec.snapshots) == 3
+
+
 def _chain_run(schedule, model=ChainModel.FERROMAGNET, j2=0.0):
     # 4 sites centred on site 2: the farthest site is 2 away, so the largest
     # kick phase is 2 * b; a ferromagnet's largest exchange phase is 2 * period

@@ -12,8 +12,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kickedchain
 import kickedchain.scenario as scenario_module
@@ -588,6 +591,45 @@ class TestWriterBytes:
         self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
         assert (tmp_path / "new.csv").read_bytes() == b"trajectory,step,x,p\r\n0,1,0.1,-2.5\r\n"
 
+    # where repr changes form: the sign of zero, the switch to the exponent
+    # below 1e-4 and at 1e16, the ".0" suffix, the largest and the least
+    # normal double, and a shortest repr of 17 digits
+    FORMAT_EDGES = [
+        -0.0, 1e-05, 0.0001, 9999999999999998.0, 1e16, 2.0,
+        1.7976931348623157e308, 2.2250738585072014e-308, 0.30000000000000004,
+    ]
+
+    def test_dist_format_edges_int64_labels(self, tmp_path):
+        dist = np.array(self.FORMAT_EDGES)
+        labels = np.arange(-4, len(dist) - 4, dtype=np.int64)
+        snapshots = [(0, dist), (3, -dist[::-1].copy())]
+        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, labels)
+        assert b"\r\n0,-4,-0.0\r\n0,-3,1e-05\r\n0,-2,0.0001\r\n" in (tmp_path / "new.csv").read_bytes()
+
+    def test_sos_format_edges(self, tmp_path):
+        x = np.array(self.FORMAT_EDGES)
+        sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([-x, x[::-1]], axis=-1)])
+        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_writers_match_oracle_on_finite_floats(self, tmp_path, data):
+        blocks = data.draw(st.integers(1, 3), label="blocks")
+        rows = data.draw(st.integers(1, 50), label="rows")
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        sections = data.draw(hnp.arrays(np.float64, (blocks, rows, 2), elements=floats))
+        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        labels = data.draw(hnp.arrays(np.int64, rows), label="labels")
+        periods = data.draw(st.lists(st.integers(0, 2**62), min_size=blocks, max_size=blocks))
+        snapshots = list(zip(periods, sections[:, :, 0]))
+        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, labels)
+
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
@@ -885,10 +927,12 @@ class TestCli:
             assert random_line == "False", step
 
     def test_front_ends_load_no_numpy(self, tmp_path):
-        # importing the package or the CLI, --help, validating and the
-        # feasibility estimate need only the standard library; a run loads numpy
+        # importing the package or the CLI, --help, validating, the feasibility
+        # estimate and a feasibility run need only the standard library; a
+        # propagation run loads numpy
         run = tmp_path / "run.json"
         run.write_text(json.dumps(small_single_kick(tmp_path)))
+        estimate = tmp_path / "feasibility"
         main_ = "from kickedchain.cli import main\n"
         steps = [
             "import kickedchain",
@@ -900,6 +944,8 @@ class TestCli:
             ),
             main_ + "assert main(['feasibility', '--b-range', '1e-6', '--sites', '100',"
             " '--j-hz', '1e9']) == 0",
+            main_ + "assert main(['run', '--config', "
+            f"{str(CONFIG_DIR / 'feasibility.json')!r}, '--out', {str(estimate)!r}]) == 0",
             main_ + f"assert main(['run', '--config', {str(run)!r}]) == 0",
         ]
         # one interpreter runs the steps in order and records after each
@@ -911,8 +957,8 @@ class TestCli:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert len(steps) == 14
-        assert out.stdout.splitlines()[-1] == str([False] * 13 + [True])
+        assert len(steps) == 15
+        assert out.stdout.splitlines()[-1] == str([False] * 14 + [True])
 
 
 class TestPackageExports:
