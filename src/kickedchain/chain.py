@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._limits import check_integers
 from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
@@ -95,6 +96,7 @@ def magnon_state(n_sites: int, m: int) -> np.ndarray:
 
 def delta_state(n_sites: int, site: int) -> np.ndarray:
     """State with the flipped spin pinned at one site."""
+    check_integers(site=site)
     if not 0 <= site < n_sites:
         raise ValueError(f"site must lie in [0, {n_sites}), got {site}")
     amps = np.zeros(n_sites, dtype=complex)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._limits import check_integers
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -46,6 +47,7 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
     Values lie in [-n_sites//2, (n_sites-1)//2]; for even chains the
     antipodal site is assigned -n_sites//2.
     """
+    check_integers(s0=s0)
     s = np.arange(n_sites)
     return (s - s0 + n_sites // 2) % n_sites - n_sites // 2
 
@@ -229,6 +231,7 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
     _check_strength("b_weak", b_weak)
     p = np.asarray(p, dtype=float)
     n = len(p)
+    d = cyclic_displacements(n, center)
     half_width = np.pi / b_weak
     if half_width > n // 2:
         _warnings.warn(
@@ -237,5 +240,4 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
             stacklevel=2,
         )
         return 1.0
-    d = cyclic_displacements(n, center)
     return float(p[np.abs(d) < half_width].sum())

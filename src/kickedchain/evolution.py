@@ -134,11 +134,7 @@ def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
     Returns the record and the largest |amps[0]|**2 + |amps[-1]|**2 of any
     period.
     """
-    # imported here: scipy.fft is most of the package's import time, and
-    # validation and the classical maps never transform
-    from scipy import fft
-
-    fwd, inv = (fft.fft, fft.ifft) if forward == "fft" else (fft.ifft, fft.fft)
+    fwd, inv = (np.fft.fft, np.fft.ifft) if forward == "fft" else (np.fft.ifft, np.fft.fft)
     prob = np.abs(amps) ** 2
     snapshots = [(0, prob)]
     max_edge = float(prob[0] + prob[-1])
@@ -146,9 +142,9 @@ def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
         for before, between, after in steps:
             if before is not None:
                 np.multiply(amps, before, out=amps)
-            amps = fwd(amps, overwrite_x=True)
+            fwd(amps, out=amps)
             np.multiply(amps, between, out=amps)
-            amps = inv(amps, overwrite_x=True)
+            inv(amps, out=amps)
             if after is not None:
                 np.multiply(amps, after, out=amps)
         max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))

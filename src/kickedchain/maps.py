@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._limits import check_result_bytes, check_work
+from ._limits import check_integers, check_result_bytes, check_work
 from .specs import (
     DoubleKickMap,
     DoubleWellMap,
@@ -240,6 +240,7 @@ def iterate_ensemble(
     seed gives the same streams on every call, whatever the batching.  Raises
     ``ValueError`` if any trajectory overflows to a non-finite value.
     """
+    check_integers(n_steps=n_steps, record_every=record_every)
     x, p = _ensemble(x0, p0, spec, n_steps, seed)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -281,6 +282,7 @@ def surface_of_section(
     (x mod 2*pi, p) recorded after each step.  Validation and the random
     variant's streams are those of :func:`iterate_ensemble`.
     """
+    check_integers(n_steps=n_steps)
     x, p = _ensemble(x0, p0, spec, n_steps, seed)
     check_result_bytes(16 * x.size * n_steps, f"a section of {x.size} x {n_steps} points")
     check_work(x.size, n_steps, f"{n_steps} steps of {x.size} trajectories")

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
+from ._limits import check_integers
+
 
 class ChainModel(str, Enum):
     """Exchange model selecting the one-magnon dispersion."""
@@ -36,10 +38,12 @@ class ChainConfig:
     model: ChainModel = ChainModel.FERROMAGNET
 
     def __post_init__(self):
+        check_integers(n_sites=self.n_sites)
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if self.kick_center is None:
             object.__setattr__(self, "kick_center", self.n_sites // 2)
+        check_integers(kick_center=self.kick_center)
         if not 0 <= self.kick_center < self.n_sites:
             raise ValueError(
                 f"kick_center must lie in [0, {self.n_sites}), got {self.kick_center}"

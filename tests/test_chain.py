@@ -126,6 +126,15 @@ class TestDeltaState:
         with pytest.raises(ValueError):
             delta_state(6, 6)
 
+    @pytest.mark.parametrize("site", [8.0, True])
+    def test_rejects_non_integer_site(self, site):
+        # 8.0 used to raise numpy's IndexError
+        with pytest.raises(TypeError, match="site must be an integer"):
+            delta_state(16, site)
+
+    def test_numpy_integer_site(self):
+        assert delta_state(np.int64(16), np.int64(8))[8] == 1.0
+
 
 class TestRotorImage:
     def test_strong_kick_regime(self):
@@ -170,6 +179,25 @@ class TestRotorImage:
 class TestChainConfigValidation:
     def test_defaults_center_to_middle(self):
         assert ChainConfig(n_sites=10, j1=1.0).kick_center == 5
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(n_sites=16.0, j1=1.0), "n_sites"),
+            (dict(n_sites=True, j1=1.0), "n_sites"),
+            (dict(n_sites=16, j1=1.0, kick_center=8.0), "kick_center"),
+            (dict(n_sites=16, j1=1.0, kick_center=np.float64(8.0)), "kick_center"),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, kwargs, name):
+        # ChainConfig(16.0, 1.0) used to build, and evolve then failed in fftfreq
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            ChainConfig(**kwargs)
+
+    def test_numpy_integer_sizes(self):
+        cfg = ChainConfig(n_sites=np.int64(16), j1=1.0, kick_center=np.int32(3))
+        assert (cfg.n_sites, cfg.kick_center) == (16, 3)
+        assert ChainConfig(n_sites=np.int64(16), j1=1.0).kick_center == 8
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -59,6 +59,16 @@ class TestDistributionStats:
         with pytest.raises(ValueError, match="probabilities must be >= 0, got -1.0"):
             distribution_stats(p, 1)
 
+    def test_rejects_fractional_center(self):
+        # 1.5 used to return (21.25, 16.0), displacements from a site that
+        # does not exist
+        with pytest.raises(TypeError, match="s0 must be an integer, got float"):
+            distribution_stats(np.full(16, 1 / 16), 1.5)
+
+    def test_numpy_integer_center(self):
+        p = np.full(16, 1 / 16)
+        assert distribution_stats(p, np.int64(3)) == distribution_stats(p, 3)
+
     @given(shift=st.integers(min_value=0, max_value=255))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_cyclic_relabeling(self, shift):
@@ -207,3 +217,18 @@ class TestCellOccupancy:
         # NaN used to return an occupancy of 0.0
         with pytest.raises(ValueError, match="b_weak must be finite and > 0"):
             cell_occupancy(np.full(64, 1 / 64), b_weak, 32)
+
+    @pytest.mark.parametrize("b_weak", [0.1, 0.01])
+    def test_rejects_fractional_center(self, b_weak):
+        # 1.5 used to return 0.96875, or 1.0 for a cell wider than the chain
+        with pytest.raises(TypeError, match="s0 must be an integer, got float"):
+            cell_occupancy(np.full(64, 1 / 64), b_weak, 1.5)
+
+
+@pytest.mark.parametrize("center", [1024.5, True])
+def test_fit_and_detector_refuse_non_integer_center(center):
+    p = two_sided_exponential(2048, 1024, 50.0)
+    with pytest.raises(TypeError, match="s0 must be an integer"):
+        fit_localization_length(p, center, (10.0, 200.0))
+    with pytest.raises(TypeError, match="s0 must be an integer"):
+        detect_accelerator_modes(synthetic_spike_record(), 0.25, center)

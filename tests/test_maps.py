@@ -186,6 +186,36 @@ class TestIterateEnsemble:
             assert 0.7 < vd / vr < 1.4
 
 
+class TestIntegerArguments:
+    """Step counts must be integers: a bool or a float is a TypeError."""
+
+    def test_iterate_refuses_bool_record_every(self):
+        # True used to record every step, as if it were 1
+        with pytest.raises(TypeError, match="record_every must be an integer, not bool"):
+            iterate_ensemble([0.5], [0.1], StandardMap(1.0), 3, True)
+
+    def test_iterate_refuses_float_n_steps(self):
+        # 2.5 used to die in numpy with a message that named no argument
+        with pytest.raises(TypeError, match="n_steps must be an integer, got float"):
+            iterate_ensemble([0.5], [0.1], StandardMap(1.0), 2.5)
+
+    def test_section_refuses_float_n_steps(self):
+        with pytest.raises(TypeError, match="n_steps must be an integer, got float"):
+            surface_of_section([0.5], [0.1], StandardMap(1.0), 2.5)
+
+    def test_refused_before_the_ensemble_is_read(self):
+        # mismatched initial conditions would raise ValueError once read
+        with pytest.raises(TypeError, match="n_steps"):
+            iterate_ensemble([0.5, 1.0], [0.1], StandardMap(1.0), 2.0)
+        with pytest.raises(TypeError, match="n_steps"):
+            surface_of_section([0.5, 1.0], [0.1], StandardMap(1.0), 2.0)
+
+    def test_numpy_integers_are_accepted(self):
+        stats = iterate_ensemble([0.5], [0.1], StandardMap(1.0), np.int64(3), np.int32(2))
+        assert stats.steps.tolist() == [0, 2, 3]
+        assert surface_of_section([0.5], [0.1], StandardMap(1.0), np.int64(3)).shape == (1, 3, 2)
+
+
 class TestSurfaceOfSection:
     def test_free_rotation_traces_horizontal_lines(self):
         x0 = [0.1, 0.2]

@@ -891,10 +891,11 @@ class TestCli:
         assert not list(tmp_path.glob("big_*"))
 
     def test_cli_import_skips_scipy_optimize(self, tmp_path):
-        # scipy.fft is loaded by the first propagation; importing the CLI,
-        # validating, a classical run and the fixed points load no scipy module
-        # at all; numpy.random is loaded only by a run that draws, never by
-        # importing the CLI, validating or a points section of a deterministic map
+        # importing the CLI, validating, a classical run, the fixed points and
+        # a chain or rotor propagation load no scipy module at all;
+        # numpy.random is loaded only by a run that draws, never by importing
+        # the CLI, validating, a points section of a deterministic map or a
+        # single-kick or rotor propagation
         section = tmp_path / "sos.json"
         section.write_text(json.dumps({
             "scenario": "surface_of_section",
@@ -904,6 +905,10 @@ class TestCli:
             "initial": {"points": [[0.5, 0.1], [2.0, -0.2]]},
             "n_steps": 20,
         }))
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(small_single_kick(tmp_path)))
+        rotor = tmp_path / "qkr.json"
+        rotor.write_text(json.dumps(shape_config(tmp_path, "qkr")))
         valid = CONFIG_DIR / "trapping_center.json"
         steps = [
             "import kickedchain.cli",
@@ -911,6 +916,8 @@ class TestCli:
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(section)!r}]) == 0",
             "from kickedchain import DoubleWellMap, fixed_point_stability\n"
             "fixed_point_stability(DoubleWellMap(0.35, 0.35))",
+            f"from kickedchain.cli import main; assert main(['run', '--config', {str(chain)!r}]) == 0",
+            f"from kickedchain.cli import main; assert main(['run', '--config', {str(rotor)!r}]) == 0",
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
         for step in steps:
