@@ -1,4 +1,4 @@
-"""The bounds on a run's in-memory result and on its work.
+"""The bounds on a run's size, in-memory result, work and phases.
 
 A run holds its whole result in memory before writing it: the snapshots of a
 propagation, the record array of an ensemble, the points of a section.  Each
@@ -6,9 +6,10 @@ is sized and checked against ``MAX_RESULT_BYTES`` before it is allocated.  A
 run's work, in element-steps (basis states times periods, trajectories times
 map steps, with each period or step counted as at least ``_MIN_ELEMENTS``),
 is checked against ``MAX_WORK`` before the first step.  The bounds are fixed;
-they are not settings.
+the checks take plain numbers, so the config validator runs them too.
 """
 
+import math
 import operator
 
 MAX_RESULT_BYTES = 2**30
@@ -23,6 +24,17 @@ MAX_WORK = 2**40
 # counts as at least this many element-steps, so that 2**30 periods of a
 # 2-site ring (8 hours) are the most the cap admits, not 2**39 (168 days).
 _MIN_ELEMENTS = 2**10
+# Largest split-step basis (chain sites or rotor states) and map ensemble.
+MAX_TRANSFORM_SITES = 2**20
+MAX_ENSEMBLE = 10**6
+# Largest phase, in rad, that a propagation accepts.  Doubles near 2**40 are
+# spaced 2**-12 rad apart, so such a phase still resolves the dynamics; near
+# 2**52 the spacing is 1 rad and the phase is noise, and beyond that the
+# phases overflow.  The largest bundled phase is 2**19 rad (localization,
+# qkr_localization).
+_MAX_PHASE = 2.0**40
+# Largest |total - 1| of a probability distribution or of a state's norm**2.
+PROBABILITY_TOL = 1e-6
 
 
 def check_result_bytes(n_bytes: int, what: str) -> None:
@@ -49,3 +61,59 @@ def check_integers(**values) -> None:
             operator.index(value)
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
+def check_phases(**phases: float) -> None:
+    """Refuse a run before any phase array is built if a largest phase is out of range.
+
+    The phases are Python floats, so computing them raises no numpy warning;
+    an overflow shows as ``inf`` and is refused like ``nan``.
+    """
+    for name, value in phases.items():
+        if not value <= _MAX_PHASE:  # also refuses NaN
+            raise ValueError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
+
+
+def check_propagation(n: int, n_periods: int, snapshot_every: int) -> None:
+    """Check a propagation's sizes and work against the caps before anything is built."""
+    check_integers(n_periods=n_periods, snapshot_every=snapshot_every)
+    if n > MAX_TRANSFORM_SITES:
+        raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
+    if n_periods < 0:
+        raise ValueError("n_periods must be >= 0")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    n_snapshots = 1 + n_periods // snapshot_every + (n_periods % snapshot_every > 0)
+    check_result_bytes(8 * n * n_snapshots, f"{n_snapshots} snapshots of {n} probabilities")
+    check_work(n, n_periods, f"{n_periods} periods of {n} basis states")
+
+
+def check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every) -> None:
+    """Check a kicked-rotor run: its parameters, sizes, work, and free and kick phases."""
+    check_integers(initial_momentum=initial_momentum, n_basis=n_basis)
+    if n_basis < 2:
+        raise ValueError("n_basis must be >= 2")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
+    check_propagation(n_basis, n_periods, snapshot_every)
+    lo = initial_momentum - n_basis // 2
+    l_max = float(max(abs(lo), abs(lo + n_basis - 1)))
+    check_phases(free=0.5 * float(hbar) * l_max * l_max, kick=abs(float(k) / float(hbar)))
+
+
+def check_ensemble(n: int, n_steps: int, record_every: int | None = None) -> None:
+    """Check an ensemble's size, its records (or, without ``record_every``, section) and work."""
+    if n > MAX_ENSEMBLE:
+        raise ValueError(f"ensemble size {n} exceeds cap {MAX_ENSEMBLE}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if record_every is None:
+        check_result_bytes(16 * n * n_steps, f"a section of {n} x {n_steps} points")
+    elif record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    else:
+        n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
+        check_result_bytes(8 * n_rows * n, f"{n_rows} records of {n} momenta")
+    check_work(n, n_steps, f"{n_steps} steps of {n} trajectories")

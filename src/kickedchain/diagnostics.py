@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import check_integers
+from ._limits import PROBABILITY_TOL, check_integers
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "cell_occupancy",
 ]
 
-PROBABILITY_TOL = 1e-6
 LOG_FLOOR = 1e-300
 # Below this r-squared a ln P fit is not considered exponential decay.
 EXPONENTIAL_R2_MIN = 0.5
@@ -229,7 +228,7 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
     warning.
     """
     _check_strength("b_weak", b_weak)
-    p = np.asarray(p, dtype=float)
+    p = _check_probability(p)
     n = len(p)
     d = cyclic_displacements(n, center)
     half_width = np.pi / b_weak

@@ -14,14 +14,13 @@ routes can check each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import check_integers, check_result_bytes, check_work
+from ._limits import MAX_TRANSFORM_SITES, PROBABILITY_TOL, check_propagation, check_rotor
 from .chain import delta_state, dispersion, wavenumber_grid
-from .specs import ChainConfig, ChainModel, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick
+from .specs import ChainConfig, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick, check_chain_phases
 
 __all__ = [
     "SingleKick", "DoubleKick", "RandomDoubleKick", "KickSchedule", "PropagationRecord",
@@ -29,19 +28,11 @@ __all__ = [
     "MAX_TRANSFORM_SITES", "MAX_DENSE_SITES",
 ]
 
-# Resource caps for the two propagation routes.
-MAX_TRANSFORM_SITES = 2**20
+# Resource cap of the dense oracle route.
 MAX_DENSE_SITES = 4096
 
 # Edge probability above which a truncated rotor basis is considered leaky.
 QKR_LEAK_THRESHOLD = 1e-6
-
-# Largest phase, in rad, that a propagation accepts.  Doubles near 2**40 are
-# spaced 2**-12 rad apart, so such a phase still resolves the dynamics; near
-# 2**52 the spacing is 1 rad and the phase is noise, and beyond that the
-# phases overflow.  The largest bundled phase is 2**19 rad (localization,
-# qkr_localization).
-_MAX_PHASE = 2.0**40
 
 
 @dataclass
@@ -87,42 +78,6 @@ def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
-def _check_phases(**phases: float) -> None:
-    """Refuse a run before any phase array is built if a largest phase is out of range.
-
-    The phases are Python floats, so computing them raises no numpy warning;
-    an overflow shows as ``inf`` and is refused like ``nan``.
-    """
-    for name, value in phases.items():
-        if not value <= _MAX_PHASE:  # also refuses NaN
-            raise ValueError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
-
-
-def _check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
-    """Refuse a chain schedule whose exchange or kick phase is out of range."""
-    # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
-    # and at most 2 * (|j1| + |j2|) otherwise
-    j1, j2 = abs(float(config.j1)), abs(float(config.j2))
-    energy = j1 if config.model is ChainModel.ANTIFERRO_LINEAR else 2.0 * (j1 + j2)
-    d = max(config.kick_center, config.n_sites - 1 - config.kick_center)
-    curvature = max(float(getattr(schedule, b, 0.0)) for b in ("b_kick", "b_weak", "b_strong"))
-    _check_phases(exchange=energy * float(schedule.period), kick=0.5 * curvature * d * d)
-
-
-def _check_run(n: int, n_periods: int, snapshot_every: int) -> None:
-    """Check a propagation's sizes and work against the caps before anything is built."""
-    check_integers(n_periods=n_periods, snapshot_every=snapshot_every)
-    if n > MAX_TRANSFORM_SITES:
-        raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
-    if n_periods < 0:
-        raise ValueError("n_periods must be >= 0")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    n_snapshots = 1 + n_periods // snapshot_every + (n_periods % snapshot_every > 0)
-    check_result_bytes(8 * n * n_snapshots, f"{n_snapshots} snapshots of {n} probabilities")
-    check_work(n, n_periods, f"{n_periods} periods of {n} basis states")
-
-
 def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
     """Run ``n_periods`` periods of split-operator ``steps`` on ``amps``.
 
@@ -165,17 +120,21 @@ def evolve(
     Per period: exchange evolution, then the kick (for double schedules:
     exchange, weak kick, exchange, strong kick).  Site probabilities are
     recorded every ``snapshot_every`` periods, plus period 0 and the final
-    period.
+    period.  The state must be finite with norm**2 within
+    ``PROBABILITY_TOL`` of 1; any other is refused before the first period.
     """
     n = config.n_sites
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
-    _check_run(n, n_periods, snapshot_every)
-    _check_chain_phases(config, schedule)
+    check_propagation(n, n_periods, snapshot_every)
+    check_chain_phases(config, schedule)
+    amps = np.array(state, dtype=complex, copy=True)
+    norm2 = float(np.vdot(amps, amps).real)
+    if not abs(norm2 - 1.0) <= PROBABILITY_TOL:  # also refuses NaN and inf
+        raise ValueError(f"state norm**2 is {norm2!r}; it must be 1 within {PROBABILITY_TOL}")
 
     exchange = _exchange_phases(config, schedule.period)
     steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
-    amps = np.array(state, dtype=complex, copy=True)
     return _split_step(amps, steps, "fft", n_periods, snapshot_every)[0]
 
 
@@ -189,7 +148,7 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
     n = config.n_sites
     if n > MAX_DENSE_SITES:
         raise ValueError(f"n_sites {n} exceeds dense cap {MAX_DENSE_SITES}")
-    _check_chain_phases(config, schedule)
+    check_chain_phases(config, schedule)
 
     ks = wavenumber_grid(n)
     weights = np.exp(-1j * dispersion(config, ks) * schedule.period) / n
@@ -223,17 +182,7 @@ def qkr_evolve(
     1e-6 after any period, recorded or not, a truncation-leakage warning is
     attached to the record.
     """
-    check_integers(initial_momentum=initial_momentum, n_basis=n_basis)
-    if n_basis < 2:
-        raise ValueError("n_basis must be >= 2")
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
-    _check_run(n_basis, n_periods, snapshot_every)
-    lo = initial_momentum - n_basis // 2
-    l_max = float(max(abs(lo), abs(lo + n_basis - 1)))
-    _check_phases(free=0.5 * float(hbar) * l_max * l_max, kick=abs(float(k) / float(hbar)))
+    check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every)
 
     l = initial_momentum + np.arange(n_basis) - n_basis // 2
     free_phases = np.exp(-0.5j * hbar * l.astype(float) ** 2)

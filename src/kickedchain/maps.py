@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._limits import check_integers, check_result_bytes, check_work
+from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers
 from .specs import (
     DoubleKickMap,
     DoubleWellMap,
@@ -48,7 +48,6 @@ __all__ = [
     "MAX_ENSEMBLE",
 ]
 
-MAX_ENSEMBLE = 10**6
 # Trajectories per tile: the contiguous slice of the ensemble one thread steps.
 _TILE = 4096
 # Bytes per chunk of angle draws of one tile (random variant only).
@@ -115,22 +114,15 @@ class EnsembleStats:
     momenta: np.ndarray
 
 
-def _check_ensemble_size(n: int) -> None:
-    if n > MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size {n} exceeds cap {MAX_ENSEMBLE}")
-
-
-def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed):
-    """Validated float copies of the initial conditions, checked before any work."""
+def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed, record_every=None):
+    """Validated float copies of the initial conditions, checked with the caps before any work."""
     x = np.array(x0, dtype=float).ravel()
     p = np.array(p0, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("ensemble must contain at least one trajectory")
     if x.shape != p.shape:
         raise ValueError("x0 and p0 must have the same length")
-    _check_ensemble_size(x.size)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_ensemble(x.size, n_steps, record_every)
     if not (np.isfinite(x).all() and np.isfinite(p).all()):
         raise ValueError("initial conditions must be finite")
     if isinstance(spec, RandomRescaledDoubleKickMap) and seed is None:
@@ -241,13 +233,7 @@ def iterate_ensemble(
     ``ValueError`` if any trajectory overflows to a non-finite value.
     """
     check_integers(n_steps=n_steps, record_every=record_every)
-    x, p = _ensemble(x0, p0, spec, n_steps, seed)
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-
-    n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
-    check_result_bytes(8 * n_rows * x.size, f"{n_rows} records of {x.size} momenta")
-    check_work(x.size, n_steps, f"{n_steps} steps of {x.size} trajectories")
+    x, p = _ensemble(x0, p0, spec, n_steps, seed, record_every)
     steps = list(range(0, n_steps + 1, record_every))
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -284,8 +270,6 @@ def surface_of_section(
     """
     check_integers(n_steps=n_steps)
     x, p = _ensemble(x0, p0, spec, n_steps, seed)
-    check_result_bytes(16 * x.size * n_steps, f"a section of {x.size} x {n_steps} points")
-    check_work(x.size, n_steps, f"{n_steps} steps of {x.size} trajectories")
     out = np.empty((x.size, n_steps, 2))
 
     def record(t, a, b, x, p):

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
+from ._limits import check_ensemble, check_propagation, check_rotor
 from .feasibility import _MAX_SITES, DEFAULT_T0_SECONDS, feasibility
 from .specs import (
     _MAP_DRIFTS,
@@ -32,6 +33,7 @@ from .specs import (
     SingleKick,
     StandardMap,
     _m_range,
+    check_chain_phases,
 )
 
 __all__ = ["ConfigError", "validate_config", "run_scenario", "SCENARIOS"]
@@ -62,8 +64,8 @@ _DURATIONS = ("period", *_MAP_DRIFTS)
 # replace one (the tracer in perfbench/spans.py wraps several).
 _ENGINE = {
     **dict.fromkeys(("delta_state", "magnon_state"), "chain"),
-    **dict.fromkeys(("_check_run", "evolve", "qkr_evolve"), "evolution"),
-    **dict.fromkeys(("_check_ensemble_size", "iterate_ensemble", "surface_of_section"), "maps"),
+    **dict.fromkeys(("evolve", "qkr_evolve"), "evolution"),
+    **dict.fromkeys(("iterate_ensemble", "surface_of_section"), "maps"),
     **dict.fromkeys(
         ("cell_occupancy", "detect_accelerator_modes", "distribution_stats", "fit_localization_length"),
         "diagnostics",
@@ -230,6 +232,13 @@ def _validate_classical_initial(obj, path):
     raise ConfigError(f"{path}: expected exactly one of 'points' or 'uniform_x'")
 
 
+def _chain_specs(cfg):
+    """The chain and schedule records of a resolved chain config."""
+    cls = _SCHEDULES[cfg["scenario"]]
+    seeded = {"seed": cfg["seed"]} if cls is RandomDoubleKick else {}
+    return ChainConfig(**cfg["chain"]), cls(**cfg["schedule"], **seeded)
+
+
 def _validate_chain_run(raw, out):
     chain = _validate_chain(raw["chain"], "config.chain")
     sched = _object(raw["schedule"], "config.schedule")
@@ -238,6 +247,8 @@ def _validate_chain_run(raw, out):
     out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
     out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
     out["initial"] = _validate_initial(raw["initial"], "config.initial", chain["n_sites"])
+    check_propagation(chain["n_sites"], out["n_periods"], out["snapshot_every"])
+    check_chain_phases(*_chain_specs(out))
 
 
 def _validate_qkr(raw, out):
@@ -253,14 +264,17 @@ def _validate_qkr(raw, out):
     }
     out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
     out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
+    check_rotor(**out["rotor"], n_periods=out["n_periods"], snapshot_every=out["snapshot_every"])
 
 
 def _validate_classical(raw, out):
     out["map"] = _validate_map(raw["map"], "config.map")
-    out["initial"] = _validate_classical_initial(raw["initial"], "config.initial")
+    initial = out["initial"] = _validate_classical_initial(raw["initial"], "config.initial")
     out["n_steps"] = _integer(raw, "config", "n_steps", minimum=1)
     if "record_every" in raw:  # required by classical_map, unknown to surface_of_section
         out["record_every"] = _integer(raw, "config", "record_every", minimum=1)
+    n = len(initial["points"]) if "points" in initial else initial["uniform_x"]["n_trajectories"]
+    check_ensemble(n, out["n_steps"], out.get("record_every"))
 
 
 def _validate_feasibility(raw, out):
@@ -272,13 +286,16 @@ def _validate_feasibility(raw, out):
         if "t0_seconds" in raw
         else DEFAULT_T0_SECONDS
     )
+    # the estimate is a few float operations; computing it finds its overflows
+    feasibility(out["b_range_au"], out["n_sites"], out["j_hz"], out["t0_seconds"])
 
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict and return it with defaults resolved.
 
     Raises :class:`ConfigError` naming the offending field path on any
-    missing, unknown, or ill-typed field.
+    missing, unknown, or ill-typed field (CLI exit 2), then a plain
+    ``ValueError`` if the run would break a bound of :mod:`._limits` (exit 1).
     """
     raw = _object(raw, "config")
     if "scenario" not in raw:
@@ -305,7 +322,6 @@ def _classical_initials(initial_cfg: dict, seed):
         return pts[:, 0].copy(), pts[:, 1].copy()
     sub = initial_cfg["uniform_x"]
     n = sub["n_trajectories"]
-    _check_ensemble_size(n)  # before the draws are allocated
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
     p0 = np.full(n, float(sub["p0"]))
@@ -388,7 +404,9 @@ def _localization(cfg, record, s0) -> dict:
 
 def _trapping(cfg, record, s0) -> dict:
     b_weak, center = cfg["schedule"]["b_weak"], cfg["chain"]["kick_center"]
-    return _chain_keys(s0, cell_occupancy=cell_occupancy(record.final_distribution, b_weak, center))
+    # b_weak 0 draws no trapping cell, so the occupancy stays empty
+    occupancy = cell_occupancy(record.final_distribution, b_weak, center) if b_weak > 0 else None
+    return _chain_keys(s0, cell_occupancy=occupancy)
 
 
 def _double_kick_trapping(cfg, record, s0) -> dict:
@@ -407,12 +425,7 @@ def _rotor(cfg, record, s0) -> dict:
 
 def _run_chain(cfg):
     _bind_engine()
-    chain = ChainConfig(**cfg["chain"])
-    cls = _SCHEDULES[cfg["scenario"]]
-    seeded = {"seed": cfg["seed"]} if cls is RandomDoubleKick else {}
-    schedule = cls(**cfg["schedule"], **seeded)
-    # evolve checks the caps too, but only once the initial state exists
-    _check_run(chain.n_sites, cfg["n_periods"], cfg["snapshot_every"])
+    chain, schedule = _chain_specs(cfg)
     if "delta_site" in cfg["initial"]:
         s0 = cfg["initial"]["delta_site"]
         state = delta_state(chain.n_sites, s0)

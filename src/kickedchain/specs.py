@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from ._limits import check_integers
+from ._limits import check_integers, check_phases
 
 
 class ChainModel(str, Enum):
@@ -127,6 +127,17 @@ def _check_schedule(period, **strengths):
     for name, value in {"period": period, **strengths}.items():
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
+    """Refuse a chain schedule whose exchange or kick phase is out of range."""
+    # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
+    # and at most 2 * (|j1| + |j2|) otherwise
+    j1, j2 = abs(float(config.j1)), abs(float(config.j2))
+    energy = j1 if config.model is ChainModel.ANTIFERRO_LINEAR else 2.0 * (j1 + j2)
+    d = max(config.kick_center, config.n_sites - 1 - config.kick_center)
+    curvature = max(float(getattr(schedule, b, 0.0)) for b in ("b_kick", "b_weak", "b_strong"))
+    check_phases(exchange=energy * float(schedule.period), kick=0.5 * curvature * d * d)
 
 
 # The map-spec fields that are drift lengths.

@@ -4,9 +4,15 @@ Each bundled config is shrunk to a small size and one or two of its leaves
 are replaced by a wrong type, an extreme number or NaN, or deleted.  The
 mutated config is run in process through ``cli.main``.  The run must return
 0, 1 or 2 with no exception escaping; on 0 its report is strict JSON, and on
-1 or 2 it leaves no file and no directory behind.
+1 or 2 it leaves no file and no directory behind.  The same config is first
+validated through ``cli.main``, and the two front ends must agree: a config
+that ``validate`` refuses, ``run`` refuses with the same exit code and the
+same message, and a config that ``validate`` accepts, ``run`` runs, unless
+it meets one of ``RUN_TIME_FAILURES``.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -25,6 +31,9 @@ REPLACEMENTS = [
     0, -1, 1e308, -1e308, 10**400, -(10**400), 2**63, 2**64, float("nan"),
     DELETE,
 ]
+# The failures that only running can find, as the run's stderr names them: a
+# trajectory of a map overflows, or a distribution fails the probability check.
+RUN_TIME_FAILURES = ("trajectories became non-finite (the map overflowed)", "probabilities sum to")
 
 
 def _shrink(cfg: dict) -> dict:
@@ -75,6 +84,14 @@ def mutated_configs(draw):
     return cfg
 
 
+def _main(argv):
+    """Exit code and stderr of ``cli.main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 def _refuse_constant(name):
     raise AssertionError(f"report holds the non-standard JSON constant {name}")
 
@@ -86,8 +103,13 @@ def test_every_input_runs_or_is_refused(cfg):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         out = Path(tmp) / "out"
-        code = cli.main(["run", "--config", str(config), "--out", str(out / "deep" / "run")])
+        verdict = _main(["validate", "--config", str(config)])
+        code, err = _main(["run", "--config", str(config), "--out", str(out / "deep" / "run")])
         assert code in (0, 1, 2)
+        if verdict[0]:
+            assert (code, err) == verdict
+        else:
+            assert code == 0 or (code == 1 and any(f in err for f in RUN_TIME_FAILURES)), err
         if code == 0:
             report = (out / "deep" / "run_report.json").read_text()
             json.loads(report, parse_constant=_refuse_constant)

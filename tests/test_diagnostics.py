@@ -219,6 +219,12 @@ class TestCellOccupancy:
             cell_occupancy(np.full(64, 1 / 64), b_weak, 32)
 
     @pytest.mark.parametrize("b_weak", [0.1, 0.01])
+    def test_rejects_unnormalized_distribution(self, b_weak):
+        # used to return 63.0, or 1.0 for a cell wider than the chain
+        with pytest.raises(ValueError, match="probabilities sum to 64.0, expected 1 within 1e-06"):
+            cell_occupancy(np.full(64, 1.0), b_weak, 3)
+
+    @pytest.mark.parametrize("b_weak", [0.1, 0.01])
     def test_rejects_fractional_center(self, b_weak):
         # 1.5 used to return 0.96875, or 1.0 for a cell wider than the chain
         with pytest.raises(TypeError, match="s0 must be an integer, got float"):

@@ -156,6 +156,30 @@ class TestEvolve:
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(dist >= 0)
 
+    @pytest.mark.parametrize(
+        "state, norm2",
+        [(np.full(64, np.nan), "nan"), (np.ones(64), "64.0"), (np.zeros(64), "0.0")],
+        ids=["nan", "ones", "zero"],
+    )
+    def test_refuses_state_that_is_not_normalized(self, state, norm2, monkeypatch):
+        # each used to run every period; now refused before any phase array is built
+        def built(*args):
+            raise AssertionError("a phase array was built")
+
+        monkeypatch.setattr(evolution, "_exchange_phases", built)
+        with pytest.raises(ValueError, match=rf"state norm\*\*2 is {norm2}; it must be 1 within 1e-06"):
+            evolve(state, ChainConfig(64, 1.0), SingleKick(0.1, 1.0), 4)
+
+    @pytest.mark.parametrize("norm2, ok", [(1 + 0.9e-6, True), (1 - 0.9e-6, True), (1 + 1.1e-6, False)])
+    def test_state_norm_tolerance(self, norm2, ok):
+        state = delta_state(64, 32) * np.sqrt(norm2)
+        run = lambda: evolve(state, ChainConfig(64, 1.0), SingleKick(0.1, 1.0), 4)
+        if ok:
+            assert len(run().snapshots) == 5
+        else:
+            with pytest.raises(ValueError, match="state norm"):
+                run()
+
     def test_transform_cap(self):
         cfg = ChainConfig(n_sites=2**20 + 2, j1=1.0)
         with pytest.raises(ValueError, match="cap"):

@@ -268,17 +268,37 @@ class TestValidation:
         cfg["map"][key] = -1.5
         assert validate_config(cfg)["map"][key] == -1.5
 
+    # hbar 2**-70 and k 2**-40 hold the free phase at |m| = 2**53 to about
+    # 2**35 rad and the kick phase to 2**30 rad, so that rotor runs; the shape
+    # rotor (hbar 1, k 5) reaches a free phase of about 4e31 rad there
+    SLOW_ROTOR = {"hbar": 2.0**-70, "k": 2.0**-40}
+
     @pytest.mark.parametrize(
-        "momentum, ok", [(2**53, True), (-(2**53), True), (2**53 + 1, False), (-(2**53) - 1, False)]
+        "momentum, rotor, refusal",
+        [
+            (2**53, SLOW_ROTOR, None),
+            (-(2**53), SLOW_ROTOR, None),
+            (2**53 + 1, SLOW_ROTOR, "config.rotor.initial_momentum: must be <= 9007199254740992"),
+            (-(2**53) - 1, SLOW_ROTOR, "config.rotor.initial_momentum: must be >= -9007199254740992"),
+            (2**53, {}, "free phase reaches 4.06e+31 rad"),
+        ],
+        ids=[
+            "9007199254740992-True", "-9007199254740992-True",
+            "9007199254740993-False", "-9007199254740993-False",
+            "9007199254740992-free-phase",
+        ],
     )
-    def test_initial_momentum_bound(self, tmp_path, momentum, ok):
+    def test_initial_momentum_bound(self, tmp_path, momentum, rotor, refusal):
         cfg = shape_config(tmp_path, "qkr")
-        cfg["rotor"]["initial_momentum"] = momentum
-        if ok:
+        cfg["rotor"].update(rotor, initial_momentum=momentum)
+        if refusal is None:
             assert validate_config(cfg)["rotor"]["initial_momentum"] == momentum
-        else:
-            with pytest.raises(ConfigError, match="initial_momentum: must be"):
-                validate_config(cfg)
+            run_scenario(cfg)
+            return
+        with pytest.raises(ValueError, match=re.escape(refusal)) as info:
+            validate_config(cfg)
+        # the schema bound is a config error (exit 2), the phase bound a resource refusal (exit 1)
+        assert isinstance(info.value, ConfigError) == refusal.startswith("config.")
 
     @pytest.mark.parametrize(
         "p0, p_jitter, ok",
@@ -524,6 +544,16 @@ class TestReportShape:
         assert report["spikes"] == [] and report["spike_speeds"] == {}
         assert 0.0 <= report["cell_occupancy"] <= 1.0
 
+    @pytest.mark.parametrize("scenario", ["double_kick", "double_kick_random"])
+    def test_no_weak_kick_leaves_occupancy_empty(self, tmp_path, scenario):
+        # b_weak 0 draws no trapping cell; the run used to propagate and then
+        # exit 1 on cell_occupancy's strength check
+        cfg = shape_config(tmp_path, scenario)
+        cfg["schedule"]["b_weak"] = 0.0
+        run_scenario(cfg)
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["cell_occupancy"] is None
+
     @pytest.mark.parametrize("b_weak, b_strong", [(0.5, 0.1), (0.05, 0.01)])
     def test_b_strong_message_comes_first(self, tmp_path, b_weak, b_strong):
         # at b_weak 0.05 the trapping cell (pi/0.05 ~ 63 sites) is wider than
@@ -732,15 +762,17 @@ class TestCli:
     )
     def test_endless_run_exits_1_without_output(self, tmp_path, capsys, scenario, count, every):
         # 2**63 periods or steps, recorded every 2**63, fit the result cap in
-        # two records; the work cap refuses them before the first step
+        # two records; the work cap refuses them before the first step, and
+        # validate refuses them too
         cfg = shape_config(tmp_path, scenario)
         cfg.update({count: 2**63, every: 2**63, "output": str(tmp_path / "deep" / "run")})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert re.fullmatch(r"error: .* element-steps, over the work cap of 1099511627776\n", err)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert re.fullmatch(r"error: .* element-steps, over the work cap of 1099511627776\n", err)
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_feasibility_overflowing_exchange_exits_1_without_output(self, tmp_path, capsys):
@@ -766,21 +798,23 @@ class TestCli:
 
     @pytest.mark.parametrize("initial", [{"delta_site": 0}, {"magnon_m": 0}])
     def test_huge_ring_refused_before_state_is_built(self, tmp_path, capsys, initial):
-        # an initial state of 10**15 sites would need 16 PB
+        # an initial state of 10**15 sites would need 16 PB; validate refuses it too
         cfg = small_single_kick(tmp_path, initial=initial)
         cfg["chain"]["n_sites"] = 10**15
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "error: basis size 1000000000000000 exceeds transform cap" in err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "error: basis size 1000000000000000 exceeds transform cap" in err
         assert not list(tmp_path.glob("run_*"))
 
     @pytest.mark.parametrize(
         "scenario, extra", [("classical_map", {"record_every": 1}), ("surface_of_section", {})]
     )
     def test_huge_ensemble_refused_before_drawing(self, tmp_path, capsys, scenario, extra):
-        # the initial angles of 10**15 trajectories would need 8 PB
+        # the initial angles of 10**15 trajectories would need 8 PB; validate
+        # refuses them too
         cfg = {
             "scenario": scenario,
             "seed": 1,
@@ -792,10 +826,49 @@ class TestCli:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "error: ensemble size 1000000000000000 exceeds cap 1000000" in err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "error: ensemble size 1000000000000000 exceeds cap 1000000" in err
         assert not list(tmp_path.glob("big_*"))
+
+    # a base config (bundled, or a report-shape scenario) and the leaves set on it
+    PROBES = {
+        "n_sites-10**15": ("localization", {("chain", "n_sites"): 10**15}),
+        "b_kick-1e300": ("localization", {("schedule", "b_kick"): 1e300}),
+        "periods-2**62": ("qkr_localization", {("n_periods",): 2**62, ("snapshot_every",): 2**62}),
+        "n_steps-2**40": ("cell_sections", {("n_steps",): 2**40}),
+        "n_trajectories-10**15": (
+            "classical_map", {("initial", "uniform_x", "n_trajectories"): 10**15}
+        ),
+        # the Tesla value of the field overflows
+        "b_range_au-1e308": ("feasibility", {("b_range_au",): 1e308}),
+    }
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, probe):
+        # each config passes the schema and breaks a size, phase, work, result
+        # or ensemble bound; both front ends refuse it with one line, exit 1
+        base, leaves = self.PROBES[probe]
+        bundled = CONFIG_DIR / f"{base}.json"
+        cfg = json.loads(bundled.read_text()) if bundled.exists() else shape_config(tmp_path, base)
+        for (*keys, last), value in leaves.items():
+            target = cfg
+            for key in keys:
+                target = target[key]
+            target[last] = value
+        cfg["output"] = str(tmp_path / "deep" / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        streams = []
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            streams.append(capsys.readouterr())
+        (v_out, v_err), (r_out, r_err) = streams
+        assert v_out == r_out == ""
+        assert v_err == r_err
+        assert re.fullmatch(r"error: [^\n]+\n", v_err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_feasibility_prints_json(self, capsys):
         code = main(
