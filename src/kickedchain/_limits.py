@@ -37,6 +37,14 @@ _MAX_PHASE = 2.0**40
 PROBABILITY_TOL = 1e-6
 
 
+def to_float(v) -> float:
+    """float(v), reading an integer beyond the float range as inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def check_result_bytes(n_bytes: int, what: str) -> None:
     """Raise ``ValueError`` if a result of ``n_bytes`` would exceed the cap."""
     if n_bytes > MAX_RESULT_BYTES:
@@ -99,7 +107,7 @@ def check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every) -
         raise ValueError(f"hbar must be finite and > 0, got {hbar}")
     check_propagation(n_basis, n_periods, snapshot_every)
     lo = initial_momentum - n_basis // 2
-    l_max = float(max(abs(lo), abs(lo + n_basis - 1)))
+    l_max = to_float(max(abs(lo), abs(lo + n_basis - 1)))
     check_phases(free=0.5 * float(hbar) * l_max * l_max, kick=abs(float(k) / float(hbar)))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._limits import check_ensemble, check_propagation, check_rotor
+from ._limits import check_ensemble, check_propagation, check_rotor, to_float
 from .feasibility import _MAX_SITES, DEFAULT_T0_SECONDS, feasibility
 from .specs import (
     _MAP_DRIFTS,
@@ -107,19 +107,11 @@ def _keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}: unknown field '{key}'")
 
 
-def _to_float(v) -> float:
-    """float(v), reading an integer beyond the float range as inf."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
-
-
 def _number(obj, path, key, minimum=None, exclusive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    v = _to_float(v)
+    v = to_float(v)
     if not math.isfinite(v):
         raise ConfigError(f"{path}.{key}: must be finite")
     if minimum is not None and (v <= minimum if exclusive else v < minimum):
@@ -212,7 +204,7 @@ def _validate_classical_initial(obj, path):
                 or any(
                     isinstance(c, bool)
                     or not isinstance(c, (int, float))
-                    or not math.isfinite(_to_float(c))
+                    or not math.isfinite(to_float(c))
                     for c in pt
                 )
             ):
@@ -332,27 +324,32 @@ def _classical_initials(initial_cfg: dict, seed):
 
 # The CSV writers below keep the bytes of csv.writer's default dialect: rows end
 # in "\r\n", floats are their shortest repr, labels are str(int), nothing is
-# quoted.  Each file has one row template, its labels filled in, a "\0" where
-# the snapshot's period or the trajectory goes and a "%r" (float.__repr__) per
-# float.  Each snapshot or trajectory is one "%" over its flat list of floats,
-# so rows are built in C, no per-row list is made, and at most one block is
-# held as text at a time.
+# quoted.  ``_floatcsv`` formats the floats of a snapshot or trajectory with
+# numpy, a block of rows at a time, and writes each row after the "\r\n" that
+# ends the line before it; the file's last "\r\n" is written here.  It is
+# imported here, so that validation loads no numpy.
 
 
 def _write_dist_csv(path: Path, snapshots, site_labels) -> None:
-    template = "".join([f"\0,{site},%r\r\n" for site in site_labels])
-    with path.open("w", newline="") as fh:
-        fh.write("period,site,probability\r\n")
+    from ._floatcsv import label_words, write_rows
+
+    labels = label_words(site_labels)
+    with path.open("wb") as fh:
+        fh.write(b"period,site,probability")
         for period, dist in snapshots:
-            fh.write(template.replace("\0", str(period)) % tuple(dist.tolist()))
+            write_rows(fh, f"{period},", labels, dist[:, None])
+        fh.write(b"\r\n")
 
 
 def _write_sos_csv(path: Path, sections) -> None:
-    template = "".join([f"\0,{step},%r,%r\r\n" for step in range(1, sections.shape[1] + 1)])
-    with path.open("w", newline="") as fh:
-        fh.write("trajectory,step,x,p\r\n")
+    from ._floatcsv import label_words, write_rows
+
+    labels = label_words(range(1, sections.shape[1] + 1))
+    with path.open("wb") as fh:
+        fh.write(b"trajectory,step,x,p")
         for traj, points in enumerate(sections):
-            fh.write(template.replace("\0", str(traj)) % tuple(points.ravel().tolist()))
+            write_rows(fh, f"{traj},", labels, points)
+        fh.write(b"\r\n")
 
 
 def _write_report(path: Path, config: dict, report: dict) -> None:

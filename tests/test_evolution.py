@@ -410,6 +410,12 @@ class TestPhasePreflight:
         with pytest.raises(ValueError, match="phase reaches 1.1e\\+12 rad; it must be finite and <= 2\\*\\*40"):
             run(np.nextafter(edge, np.inf))
 
+    @pytest.mark.parametrize("momentum", [10**400, -(10**400)], ids=["+10**400", "-10**400"])
+    def test_momentum_beyond_float_range(self, momentum):
+        # the largest |momentum| reads as inf, not as an OverflowError
+        with pytest.raises(ValueError, match="free phase reaches inf rad; it must be finite"):
+            qkr_evolve(momentum, 1.0, 1.0, 1, 4)
+
     def test_antiferromagnet_ignores_j2(self):
         _chain_run(SingleKick(0.1, 1.0), model=ChainModel.ANTIFERRO_LINEAR, j2=1e300)
         with pytest.raises(ValueError, match="exchange phase reaches"):

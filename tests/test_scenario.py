@@ -584,6 +584,9 @@ class TestWriterBytes:
         self.assert_same_bytes(
             tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, range(len(dist))
         )
+        # a snapshot longer than the writer formats in one pass
+        long = np.random.default_rng(3).dirichlet(np.ones(5000))
+        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, [(1, long), (2, long)], range(5000))
 
     def test_dist_negative_int64_momentum_labels(self, tmp_path):
         cfg = {
@@ -640,6 +643,9 @@ class TestWriterBytes:
         x = np.array(self.FORMAT_EDGES)
         sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([-x, x[::-1]], axis=-1)])
         self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        # rows off the kernel's fast path (repr one value at a time, and -0.0) between rows on it
+        x = np.array([0.1, 3e16, 2.5, 1.7976931348623157e308, -0.0, 0.75])
+        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, np.stack([x, x[::-1]], axis=-1)[None])
 
     @given(data=st.data())
     @settings(
