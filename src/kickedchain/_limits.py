@@ -37,6 +37,10 @@ _MAX_PHASE = 2.0**40
 PROBABILITY_TOL = 1e-6
 
 
+class LimitError(ValueError):
+    """A run over a cap on its size, work or phases; a broken rule is a plain ``ValueError``."""
+
+
 def to_float(v) -> float:
     """float(v), reading an integer beyond the float range as inf."""
     try:
@@ -46,18 +50,18 @@ def to_float(v) -> float:
 
 
 def check_result_bytes(n_bytes: int, what: str) -> None:
-    """Raise ``ValueError`` if a result of ``n_bytes`` would exceed the cap."""
+    """Raise ``LimitError`` if a result of ``n_bytes`` would exceed the cap."""
     if n_bytes > MAX_RESULT_BYTES:
-        raise ValueError(
+        raise LimitError(
             f"{what} would take {n_bytes} bytes, over the result cap of {MAX_RESULT_BYTES}"
         )
 
 
 def check_work(n_elements: int, n_steps: int, what: str) -> None:
-    """Raise ``ValueError`` if ``n_steps`` steps of ``n_elements`` would exceed the work cap."""
+    """Raise ``LimitError`` if ``n_steps`` steps of ``n_elements`` would exceed the work cap."""
     work = max(n_elements, _MIN_ELEMENTS) * n_steps
     if work > MAX_WORK:
-        raise ValueError(f"{what} would take {work} element-steps, over the work cap of {MAX_WORK}")
+        raise LimitError(f"{what} would take {work} element-steps, over the work cap of {MAX_WORK}")
 
 
 def check_integers(**values) -> None:
@@ -79,18 +83,23 @@ def check_phases(**phases: float) -> None:
     """
     for name, value in phases.items():
         if not value <= _MAX_PHASE:  # also refuses NaN
-            raise ValueError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
+            raise LimitError(f"{name} phase reaches {value:.3g} rad; it must be finite and <= 2**40")
+
+
+def check_basis(n: int) -> None:
+    """Raise ``LimitError`` if a split-step basis of ``n`` states would exceed the transform cap."""
+    if n > MAX_TRANSFORM_SITES:
+        raise LimitError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
 
 
 def check_propagation(n: int, n_periods: int, snapshot_every: int) -> None:
-    """Check a propagation's sizes and work against the caps before anything is built."""
+    """Check a propagation's counts, then its sizes and work against the caps."""
     check_integers(n_periods=n_periods, snapshot_every=snapshot_every)
-    if n > MAX_TRANSFORM_SITES:
-        raise ValueError(f"basis size {n} exceeds transform cap {MAX_TRANSFORM_SITES}")
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
+    check_basis(n)
     n_snapshots = 1 + n_periods // snapshot_every + (n_periods % snapshot_every > 0)
     check_result_bytes(8 * n * n_snapshots, f"{n_snapshots} snapshots of {n} probabilities")
     check_work(n, n_periods, f"{n_periods} periods of {n} basis states")
@@ -112,15 +121,15 @@ def check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every) -
 
 
 def check_ensemble(n: int, n_steps: int, record_every: int | None = None) -> None:
-    """Check an ensemble's size, its records (or, without ``record_every``, section) and work."""
-    if n > MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size {n} exceeds cap {MAX_ENSEMBLE}")
+    """Check an ensemble's counts, then its size, records (or section) and work against the caps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if n > MAX_ENSEMBLE:
+        raise LimitError(f"ensemble size {n} exceeds cap {MAX_ENSEMBLE}")
     if record_every is None:
         check_result_bytes(16 * n * n_steps, f"a section of {n} x {n_steps} points")
-    elif record_every < 1:
-        raise ValueError("record_every must be >= 1")
     else:
         n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
         check_result_bytes(8 * n_rows * n, f"{n_rows} records of {n} momenta")

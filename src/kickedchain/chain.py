@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import check_integers
+from ._limits import check_basis, check_integers
 from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
@@ -50,6 +50,8 @@ def wavenumber_grid(n_sites: int) -> np.ndarray:
     Integer m runs over the n_sites consecutive values that place every
     wavenumber in (-pi, pi]; the result is sorted ascending.
     """
+    check_integers(n_sites=n_sites)
+    check_basis(n_sites)
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
     lo, hi = _m_range(n_sites)
@@ -86,6 +88,8 @@ def magnon_state(n_sites: int, m: int) -> np.ndarray:
     ``m`` must index a wavenumber of :func:`wavenumber_grid`, i.e. lie in
     [-ceil(N/2)+1, floor(N/2)].
     """
+    check_integers(n_sites=n_sites, m=m)
+    check_basis(n_sites)
     lo, hi = _m_range(n_sites)
     if not lo <= m <= hi:
         raise ValueError(f"m must lie in [{lo}, {hi}] for n_sites={n_sites}, got {m}")
@@ -96,7 +100,8 @@ def magnon_state(n_sites: int, m: int) -> np.ndarray:
 
 def delta_state(n_sites: int, site: int) -> np.ndarray:
     """State with the flipped spin pinned at one site."""
-    check_integers(site=site)
+    check_integers(n_sites=n_sites, site=site)
+    check_basis(n_sites)
     if not 0 <= site < n_sites:
         raise ValueError(f"site must lie in [0, {n_sites}), got {site}")
     amps = np.zeros(n_sites, dtype=complex)

@@ -9,6 +9,7 @@ for double-kick schedules.  All site arithmetic is cyclic (ring topology).
 from __future__ import annotations
 
 import math
+import operator
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
     antipodal site is assigned -n_sites//2.
     """
     check_integers(s0=s0)
+    # reduced first, an integer identity, so that no centre overflows int64
+    s0 = operator.index(s0) % n_sites if n_sites else 0
     s = np.arange(n_sites)
     return (s - s0 + n_sites // 2) % n_sites - n_sites // 2
 

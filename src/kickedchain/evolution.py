@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import MAX_TRANSFORM_SITES, PROBABILITY_TOL, check_propagation, check_rotor
+from ._limits import MAX_TRANSFORM_SITES, PROBABILITY_TOL, LimitError, check_propagation, check_rotor
 from .chain import delta_state, dispersion, wavenumber_grid
 from .specs import ChainConfig, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick, check_chain_phases
 
@@ -147,7 +147,7 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
     """
     n = config.n_sites
     if n > MAX_DENSE_SITES:
-        raise ValueError(f"n_sites {n} exceeds dense cap {MAX_DENSE_SITES}")
+        raise LimitError(f"n_sites {n} exceeds dense cap {MAX_DENSE_SITES}")
     check_chain_phases(config, schedule)
 
     ks = wavenumber_grid(n)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from ._limits import LimitError, check_integers
+
 __all__ = ["FeasibilityReport", "feasibility", "AU_TIME_SECONDS", "FIELD_TESLA_PER_AU"]
 
 # Atomic unit of time in seconds.
@@ -86,8 +88,9 @@ def feasibility(
     is the exchange rate treated as a plain inverse time.  ``t0_seconds`` is
     the pulse repetition period used for the many-oscillations check
     2*j*T0 >> 1.  An empty duration window is reported as infeasible, not an
-    error.
+    error; inputs whose estimate overflows raise ``LimitError``.
     """
+    check_integers(n_sites=n_sites)
     for name, value in (("b_range_au", b_range_au), ("j_hz", j_hz), ("t0_seconds", t0_seconds)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -118,7 +121,7 @@ def feasibility(
     # values must be finite, and b_kick <= 2 * b_range_au is when the Tesla value is
     for name, value in (("b_range_tesla", b_range_tesla), ("exchange_action", exchange_action)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} is not finite; the inputs are out of range")
+            raise LimitError(f"{name} is not finite; the inputs are out of range")
     return FeasibilityReport(
         b_range_au=b_range_au,
         n_sites=n_sites,

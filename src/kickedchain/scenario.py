@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._limits import check_ensemble, check_propagation, check_rotor, to_float
-from .feasibility import _MAX_SITES, DEFAULT_T0_SECONDS, feasibility
+from ._limits import LimitError, check_ensemble, check_propagation, check_rotor, to_float
+from .feasibility import DEFAULT_T0_SECONDS, feasibility
 from .specs import (
-    _MAP_DRIFTS,
     ChainConfig,
     ChainModel,
     DoubleKick,
@@ -53,9 +52,6 @@ _MAPS = {
     "rescaled_double_kick_random": RandomRescaledDoubleKickMap,
     "double_well": DoubleWellMap,
 }
-# The one hand-kept rule on those fields: these durations must be > 0;
-# schedule strengths must be >= 0 and map strengths are unbounded.
-_DURATIONS = ("period", *_MAP_DRIFTS)
 
 
 # The runners' callees from the numeric modules.  Those load numpy, which
@@ -91,6 +87,22 @@ class ConfigError(ValueError):
     """Config schema violation; the message names the offending field path."""
 
 
+# The validator checks shape, types and paths; each value rule is the library's,
+# run through ``_checked``.  It keeps the rules no library function holds (the
+# seed range, period > 0 as the library runs period 0 as a no-op,
+# |initial_momentum| <= 2**53, p_jitter), those held only in modules that load
+# numpy (delta_site, magnon_m, n_trajectories >= 1, non-empty points), and
+# hbar > 0 and n_basis >= 2, whose section check_rotor cannot name.
+def _checked(path, fn, *args, **kwargs):
+    """Call ``fn``; a rule it breaks is a ``ConfigError`` at ``path``, a ``LimitError`` passes."""
+    try:
+        return fn(*args, **kwargs)
+    except LimitError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _object(value, path):
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -98,6 +110,7 @@ def _object(value, path):
 
 
 def _keys(obj, path, required, optional=()):
+    obj = _object(obj, path)
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}: missing required field '{key}'")
@@ -105,6 +118,7 @@ def _keys(obj, path, required, optional=()):
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown field '{key}'")
+    return obj
 
 
 def _number(obj, path, key, minimum=None, exclusive=False):
@@ -132,6 +146,8 @@ def _integer(obj, path, key, minimum=None, maximum=None):
 
 
 def _string(obj, path, key, choices=None):
+    if key not in obj:
+        raise ConfigError(f"{path}: missing required field '{key}'")
     v = obj[key]
     if not isinstance(v, str):
         raise ConfigError(f"{path}.{key}: expected a string")
@@ -140,37 +156,21 @@ def _string(obj, path, key, choices=None):
     return v
 
 
-def _spec(obj, path, cls, minimum, lead=()):
-    """The number fields of dataclass ``cls``, strengths bounded by ``minimum``.
-
-    A ``seed`` field is not read here: it is the config's top-level seed.
-    """
+def _spec(obj, path, cls, lead=()):
+    """The number fields of dataclass ``cls``; its ``seed`` is the config's top-level seed."""
     names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "seed")
-    _keys(obj, path, required=lead + names)
-    return {
-        key: _number(obj, path, key, 0.0, exclusive=True)
-        if key in _DURATIONS
-        else _number(obj, path, key, minimum)
-        for key in names
-    }
+    obj = _keys(obj, path, required=lead + names)
+    return {k: _number(obj, path, k, 0.0 if k == "period" else None, True) for k in names}
 
 
 def _validate_chain(obj, path):
-    obj = _object(obj, path)
-    _keys(obj, path, required=("n_sites", "j1"), optional=("j2", "kick_center", "model"))
-    n = _integer(obj, path, "n_sites", minimum=2)
-    out = {
-        "n_sites": n,
-        "j1": _number(obj, path, "j1"),
-        "j2": _number(obj, path, "j2") if "j2" in obj else 0.0,
-        "kick_center": _integer(obj, path, "kick_center", 0, n - 1) if "kick_center" in obj else n // 2,
-        "model": _string(obj, path, "model", CHAIN_MODELS) if "model" in obj else "ferromagnet",
-    }
-    try:
-        ChainConfig(**out)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return out
+    obj = _keys(obj, path, required=("n_sites", "j1"), optional=("j2", "kick_center", "model"))
+    read = {"n_sites": _integer, "j1": _number, "j2": _number, "kick_center": _integer}
+    fields = {key: read[key](obj, path, key) for key in read if key in obj}
+    if "model" in obj:
+        fields["model"] = _string(obj, path, "model", CHAIN_MODELS)
+    chain = _checked(path, ChainConfig, **fields)
+    return {**dataclasses.asdict(chain), "model": chain.model.value}
 
 
 def _validate_initial(obj, path, n_sites):
@@ -185,10 +185,10 @@ def _validate_initial(obj, path, n_sites):
 
 def _validate_map(obj, path):
     obj = _object(obj, path)
-    if "variant" not in obj:
-        raise ConfigError(f"{path}: missing required field 'variant'")
     variant = _string(obj, path, "variant", tuple(_MAPS))
-    return {"variant": variant, **_spec(obj, path, _MAPS[variant], None, lead=("variant",))}
+    fields = _spec(obj, path, _MAPS[variant], lead=("variant",))
+    _checked(path, _MAPS[variant], **fields)
+    return {"variant": variant, **fields}
 
 
 def _validate_classical_initial(obj, path):
@@ -212,8 +212,7 @@ def _validate_classical_initial(obj, path):
         return {"points": [[float(x), float(p)] for x, p in pts]}
     if set(obj) == {"uniform_x"}:
         path = f"{path}.uniform_x"
-        sub = _object(obj["uniform_x"], path)
-        _keys(sub, path, required=("n_trajectories", "p0"), optional=("p_jitter",))
+        sub = _keys(obj["uniform_x"], path, required=("n_trajectories", "p0"), optional=("p_jitter",))
         n = _integer(sub, path, "n_trajectories", minimum=1)
         p0 = _number(sub, path, "p0")
         jitter = _number(sub, path, "p_jitter", minimum=0.0) if "p_jitter" in sub else 0.0
@@ -224,28 +223,26 @@ def _validate_classical_initial(obj, path):
     raise ConfigError(f"{path}: expected exactly one of 'points' or 'uniform_x'")
 
 
-def _chain_specs(cfg):
-    """The chain and schedule records of a resolved chain config."""
+def _schedule(cfg):
+    """The kick schedule record of a resolved chain config."""
     cls = _SCHEDULES[cfg["scenario"]]
-    seeded = {"seed": cfg["seed"]} if cls is RandomDoubleKick else {}
-    return ChainConfig(**cfg["chain"]), cls(**cfg["schedule"], **seeded)
+    return cls(**cfg["schedule"], **({"seed": cfg["seed"]} if cls is RandomDoubleKick else {}))
 
 
 def _validate_chain_run(raw, out):
     chain = _validate_chain(raw["chain"], "config.chain")
-    sched = _object(raw["schedule"], "config.schedule")
-    out["schedule"] = _spec(sched, "config.schedule", _SCHEDULES[out["scenario"]], 0.0)
+    out["schedule"] = _spec(raw["schedule"], "config.schedule", _SCHEDULES[out["scenario"]])
+    schedule = _checked("config.schedule", _schedule, out)
     out["chain"] = chain
-    out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
-    out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
+    n_periods = out["n_periods"] = _integer(raw, "config", "n_periods")
+    every = out["snapshot_every"] = _integer(raw, "config", "snapshot_every")
     out["initial"] = _validate_initial(raw["initial"], "config.initial", chain["n_sites"])
-    check_propagation(chain["n_sites"], out["n_periods"], out["snapshot_every"])
-    check_chain_phases(*_chain_specs(out))
+    _checked("config", check_propagation, chain["n_sites"], n_periods, every)
+    check_chain_phases(ChainConfig(**chain), schedule)
 
 
 def _validate_qkr(raw, out):
-    rotor = _object(raw["rotor"], "config.rotor")
-    _keys(rotor, "config.rotor", required=("k", "hbar", "n_basis", "initial_momentum"))
+    rotor = _keys(raw["rotor"], "config.rotor", required=("k", "hbar", "n_basis", "initial_momentum"))
     out["rotor"] = {
         "k": _number(rotor, "config.rotor", "k"),
         "hbar": _number(rotor, "config.rotor", "hbar", minimum=0.0, exclusive=True),
@@ -254,44 +251,41 @@ def _validate_qkr(raw, out):
         # |m| <= 2**53 keeps m exact as a float and the labels far from int64 overflow
         "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum", -(2**53), 2**53),
     }
-    out["n_periods"] = _integer(raw, "config", "n_periods", minimum=0)
-    out["snapshot_every"] = _integer(raw, "config", "snapshot_every", minimum=1)
-    check_rotor(**out["rotor"], n_periods=out["n_periods"], snapshot_every=out["snapshot_every"])
+    n_periods = out["n_periods"] = _integer(raw, "config", "n_periods")
+    every = out["snapshot_every"] = _integer(raw, "config", "snapshot_every")
+    _checked("config", check_rotor, **out["rotor"], n_periods=n_periods, snapshot_every=every)
 
 
 def _validate_classical(raw, out):
     out["map"] = _validate_map(raw["map"], "config.map")
     initial = out["initial"] = _validate_classical_initial(raw["initial"], "config.initial")
-    out["n_steps"] = _integer(raw, "config", "n_steps", minimum=1)
+    out["n_steps"] = _integer(raw, "config", "n_steps")
     if "record_every" in raw:  # required by classical_map, unknown to surface_of_section
-        out["record_every"] = _integer(raw, "config", "record_every", minimum=1)
+        out["record_every"] = _integer(raw, "config", "record_every")
     n = len(initial["points"]) if "points" in initial else initial["uniform_x"]["n_trajectories"]
-    check_ensemble(n, out["n_steps"], out.get("record_every"))
+    _checked("config", check_ensemble, n, out["n_steps"], out.get("record_every"))
 
 
 def _validate_feasibility(raw, out):
-    out["b_range_au"] = _number(raw, "config", "b_range_au", minimum=0.0)
-    out["n_sites"] = _integer(raw, "config", "n_sites", minimum=1, maximum=_MAX_SITES)
-    out["j_hz"] = _number(raw, "config", "j_hz", minimum=0.0, exclusive=True)
-    out["t0_seconds"] = (
-        _number(raw, "config", "t0_seconds", minimum=0.0, exclusive=True)
-        if "t0_seconds" in raw
-        else DEFAULT_T0_SECONDS
-    )
+    args = {
+        "b_range_au": _number(raw, "config", "b_range_au"),
+        "n_sites": _integer(raw, "config", "n_sites"),
+        "j_hz": _number(raw, "config", "j_hz"),
+        "t0_seconds": _number({"t0_seconds": DEFAULT_T0_SECONDS, **raw}, "config", "t0_seconds"),
+    }
+    out.update(args)
     # the estimate is a few float operations; computing it finds its overflows
-    feasibility(out["b_range_au"], out["n_sites"], out["j_hz"], out["t0_seconds"])
+    _checked("config", feasibility, **args)
 
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict and return it with defaults resolved.
 
     Raises :class:`ConfigError` naming the offending field path on any
-    missing, unknown, or ill-typed field (CLI exit 2), then a plain
-    ``ValueError`` if the run would break a bound of :mod:`._limits` (exit 1).
+    missing, unknown, ill-typed or out-of-range field (CLI exit 2), then a
+    :class:`LimitError` if the run would break a cap of :mod:`._limits` (exit 1).
     """
     raw = _object(raw, "config")
-    if "scenario" not in raw:
-        raise ConfigError("config: missing required field 'scenario'")
     scenario = _string(raw, "config", "scenario", SCENARIOS)
     entry = _REGISTRY[scenario]
     common = ("scenario", "seed", "output")
@@ -422,7 +416,7 @@ def _rotor(cfg, record, s0) -> dict:
 
 def _run_chain(cfg):
     _bind_engine()
-    chain, schedule = _chain_specs(cfg)
+    chain, schedule = ChainConfig(**cfg["chain"]), _schedule(cfg)
     if "delta_site" in cfg["initial"]:
         s0 = cfg["initial"]["delta_site"]
         state = delta_state(chain.n_sites, s0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kickedchain._limits as limits
 from kickedchain import (
     ChainConfig,
     ChainModel,
@@ -136,6 +137,45 @@ class TestDeltaState:
         assert delta_state(np.int64(16), np.int64(8))[8] == 1.0
 
 
+BUILDERS = {
+    "delta_state": lambda n: delta_state(n, 0),
+    "magnon_state": lambda n: magnon_state(n, 0),
+    "wavenumber_grid": wavenumber_grid,
+}
+
+
+class TestStateBuilderLimits:
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_ring_over_transform_cap_refused(self, name):
+        # 2**40 sites used to escape as a MemoryError for 16 TiB
+        with pytest.raises(limits.LimitError, match="basis size 1099511627776 exceeds transform cap"):
+            BUILDERS[name](2**40)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_cap_is_inclusive(self, name, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_TRANSFORM_SITES", 16)
+        assert len(BUILDERS[name](16)) == 16
+        with pytest.raises(limits.LimitError):
+            BUILDERS[name](17)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: magnon_state(16, 1.5), "m"),
+            (lambda: magnon_state(True, 0), "n_sites"),
+            (lambda: magnon_state(16.0, 0), "n_sites"),
+            (lambda: delta_state(16.0, 0), "n_sites"),
+            (lambda: wavenumber_grid(np.True_), "n_sites"),
+        ],
+        ids=["magnon-m-1.5", "magnon-n-True", "magnon-n-16.0", "delta-n-16.0", "grid-n-True"],
+    )
+    def test_non_integer_refused(self, build, name):
+        # magnon_state(16, 1.5) used to build an off-grid wave, and
+        # magnon_state(True, 0) a one-site state
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            build()
+
+
 class TestRotorImage:
     def test_strong_kick_regime(self):
         cfg = ChainConfig(n_sites=2048, j1=1.0)
@@ -207,6 +247,7 @@ class TestChainConfigValidation:
             dict(n_sites=8, j1=1.0, j2=0.5),
             dict(n_sites=8, j1=1.0, kick_center=8),
             dict(n_sites=8, j1=1.0, j2=0.0, model=ChainModel.NNN_LADDER),
+            dict(n_sites=8, j1=-1.0, j2=0.5, model=ChainModel.NNN_LADDER),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -69,6 +69,24 @@ class TestDistributionStats:
         p = np.full(16, 1 / 16)
         assert distribution_stats(p, np.int64(3)) == distribution_stats(p, 3)
 
+    @pytest.mark.parametrize(
+        "s0",
+        [10**20, -(10**20), np.int64(2**63 - 1), np.int64(-(2**63))],
+        ids=["10**20", "-10**20", "int64-max", "int64-min"],
+    )
+    def test_huge_center_is_its_ring_site(self, s0):
+        # 10**20 used to raise OverflowError, and s - s0 wrapped silently near
+        # +-2**63; a centre is its residue mod n_sites
+        rng = np.random.default_rng(4)
+        p = rng.random(64)
+        p /= p.sum()
+        site = int(s0) % 64
+        np.testing.assert_array_equal(cyclic_displacements(64, s0), cyclic_displacements(64, site))
+        assert distribution_stats(p, s0) == distribution_stats(p, site)
+
+    def test_empty_ring_has_no_displacements(self):
+        assert cyclic_displacements(0, 10**20).size == 0
+
     @given(shift=st.integers(min_value=0, max_value=255))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_cyclic_relabeling(self, shift):

@@ -304,6 +304,10 @@ class TestQkrEvolve:
         with pytest.raises(ValueError, match="must be finite"):
             qkr_evolve(0, k, hbar, 3, 16)
 
+    def test_rejects_one_state_basis(self):
+        with pytest.raises(ValueError, match="n_basis must be >= 2"):
+            qkr_evolve(0, 1.0, 1.0, 3, n_basis=1)
+
 
 class TestResultCap:
     # 10 periods every 4 record periods 0, 4, 8 and 10: 4 snapshots

@@ -173,6 +173,10 @@ class TestIterateEnsemble:
         with pytest.raises(ValueError):
             iterate_ensemble([], [], StandardMap(k=1.0), 10)
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="x0 and p0 must have the same length"):
+            iterate_ensemble([0.0, 1.0], [0.0], StandardMap(k=1.0), 10)
+
     def test_deterministic_and_random_double_kick_statistically_close(self):
         # with long inter-pair drift the deterministic pair map and the
         # random-angle pair map produce matching variance curves

@@ -30,6 +30,7 @@ from kickedchain import (
     SingleKick,
     StandardMap,
     __version__,
+    feasibility,
 )
 from kickedchain.cli import main
 from kickedchain.evolution import qkr_evolve
@@ -233,24 +234,49 @@ class TestValidation:
             validate_config(cfg)
         assert str(err.value) == f"config.{section}: missing required field '{key}'"
 
+    # period > 0 is the validator's own rule; the others are the records' rules,
+    # refused at their section
     @pytest.mark.parametrize(
         "section, cls, key, value, message",
         [
-            ("schedule", SingleKick, "period", 0.0, "must be > 0.0"),
-            ("schedule", DoubleKick, "period", 0, "must be > 0.0"),
-            ("map", DoubleKickMap, "eps", 0.0, "must be > 0.0"),
-            ("map", DoubleKickMap, "tau", 0, "must be > 0.0"),
-            ("map", RescaledDoubleKickMap, "tau_eps", 0.0, "must be > 0.0"),
-            ("schedule", DoubleKick, "b_weak", -0.1, "must be >= 0.0"),
-            ("schedule", RandomDoubleKick, "b_weak", -0.1, "must be >= 0.0"),
-            ("schedule", SingleKick, "b_kick", -1, "must be >= 0.0"),
+            ("schedule", SingleKick, "period", 0.0, "config.schedule.period: must be > 0.0"),
+            ("schedule", DoubleKick, "period", 0, "config.schedule.period: must be > 0.0"),
+            ("map", DoubleKickMap, "eps", 0.0, "config.map: eps must be > 0 and finite, got 0.0"),
+            ("map", DoubleKickMap, "tau", 0, "config.map: tau must be > 0 and finite, got 0.0"),
+            (
+                "map", RescaledDoubleKickMap, "tau_eps", 0.0,
+                "config.map: tau_eps must be > 0 and finite, got 0.0",
+            ),
+            (
+                "schedule", DoubleKick, "b_weak", -0.1,
+                "config.schedule: b_weak must be finite and >= 0, got -0.1",
+            ),
+            (
+                "schedule", RandomDoubleKick, "b_weak", -0.1,
+                "config.schedule: b_weak must be finite and >= 0, got -0.1",
+            ),
+            (
+                "schedule", SingleKick, "b_kick", -1,
+                "config.schedule: b_kick must be finite and >= 0, got -1.0",
+            ),
+        ],
+        ids=[
+            "schedule-SingleKick-period-0.0-must be > 0.0",
+            "schedule-DoubleKick-period-0-must be > 0.0",
+            "map-DoubleKickMap-eps-0.0-must be > 0.0",
+            "map-DoubleKickMap-tau-0-must be > 0.0",
+            "map-RescaledDoubleKickMap-tau_eps-0.0-must be > 0.0",
+            "schedule-DoubleKick-b_weak--0.1-must be >= 0.0",
+            "schedule-RandomDoubleKick-b_weak--0.1-must be >= 0.0",
+            "schedule-SingleKick-b_kick--1-must be >= 0.0",
         ],
     )
     def test_field_bounds(self, tmp_path, section, cls, key, value, message):
         cfg = section_config(tmp_path, section, cls)
         cfg[section][key] = value
-        with pytest.raises(ConfigError, match=re.escape(f"config.{section}.{key}: {message}")):
+        with pytest.raises(ConfigError) as err:
             validate_config(cfg)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "cls, key",
@@ -379,6 +405,25 @@ class TestRunScenario:
         run_scenario(cfg, seed=5)
         assert Path(dist).read_bytes() == original
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_override_must_fit_u64(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="config.seed: must be an unsigned 64-bit integer"):
+            run_scenario(small_single_kick(tmp_path), seed=seed)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_magnon_start_on_nnn_ladder(self, tmp_path):
+        # a plane wave spreads evenly over the ring; the report centres on the kick
+        cfg = small_single_kick(tmp_path, initial={"magnon_m": 5})
+        cfg["chain"].update(j2=0.3, model="nnn_ladder")
+        result = run_scenario(cfg)
+        dist = next(f for f in result["files"] if f.endswith("_dist.csv"))
+        with open(dist, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[0] == "0"]
+        assert [int(site) for _, site, _ in rows] == list(range(64))
+        assert [float(p) for _, _, p in rows] == pytest.approx([1 / 64] * 64, rel=1e-12)
+        report_file = next(f for f in result["files"] if f.endswith("_report.json"))
+        assert json.loads(Path(report_file).read_text())["report"]["s0"] == 32
+
     def test_sos_csv_format(self, tmp_path):
         cfg = {
             "scenario": "surface_of_section",
@@ -446,6 +491,12 @@ class TestRunScenario:
         # 2*j*t0 = 2000, comfortably in the many-oscillations regime
         assert doc["report"]["exchange_action"] == pytest.approx(2000.0)
         assert doc["report"]["exchange_action_ok"] is True
+
+    @pytest.mark.parametrize("sites", [True, 1.5, 100.0])
+    def test_feasibility_refuses_non_integer_sites(self, sites):
+        # True used to be written to the report as "n_sites": true
+        with pytest.raises(TypeError, match="n_sites must be an integer"):
+            feasibility(1e-6, sites, 1e9)
 
     def test_feasibility_without_field_is_infeasible_not_an_error(self, tmp_path, capsys):
         cfg = {
@@ -525,6 +576,19 @@ def shape_config(tmp_path, scenario):
         return small_single_kick(tmp_path, scenario=scenario, **fields)
     top = {"n_periods": 6, "snapshot_every": 3} if scenario == "qkr" else {}
     return {"scenario": scenario, "seed": 3, "output": str(tmp_path / "run"), **top, **fields}
+
+
+def write_probe(tmp_path, cfg, leaves):
+    """Write ``cfg`` to cfg.json with each key path of ``leaves`` set and its output under deep/."""
+    for (*keys, last), value in leaves.items():
+        target = cfg
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    cfg["output"] = str(tmp_path / "deep" / "run")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 class TestReportShape:
@@ -708,16 +772,19 @@ class TestCli:
         assert not (tmp_path / "deep").exists()
 
     @pytest.mark.parametrize(
-        "scenario, section, key, value",
+        "scenario, section, key, value, message",
         [
-            ("qkr", "rotor", "initial_momentum", 2**63),
-            ("classical_map", ("initial", "uniform_x"), "p_jitter", 1e308),
-            ("feasibility", (), "n_sites", 10**400),
+            ("qkr", "rotor", "initial_momentum", 2**63, "config.rotor.initial_momentum: must be <="),
+            (
+                "classical_map", ("initial", "uniform_x"), "p_jitter", 1e308,
+                "config.initial.uniform_x.p_jitter: 2 * p_jitter",
+            ),
+            ("feasibility", (), "n_sites", 10**400, f"config: n_sites must be > 0 and <= {2**53}"),
         ],
         ids=["initial_momentum", "p_jitter", "n_sites"],
     )
     def test_out_of_range_exits_2_without_output(
-        self, tmp_path, capsys, scenario, section, key, value
+        self, tmp_path, capsys, scenario, section, key, value, message
     ):
         cfg = shape_config(tmp_path, scenario)
         target = cfg
@@ -728,7 +795,7 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
-        assert f".{key}: " in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
@@ -779,6 +846,51 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == ""
             assert re.fullmatch(r"error: .* element-steps, over the work cap of 1099511627776\n", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    # a scenario, the leaves set on its report-shape config, and the refusal: a
+    # rule of a library record or check, named at its section, exit 2; with
+    # n_sites 10**15 the ring breaks the transform cap too, and the rule wins
+    LIBRARY_RULES = {
+        "n_sites-1": ("single_kick", {("chain", "n_sites"): 1}, "config.chain: n_sites must be >= 2, got 1"),
+        "kick_center-64": (
+            "single_kick", {("chain", "kick_center"): 64},
+            "config.chain: kick_center must lie in [0, 64), got 64",
+        ),
+        "nnn-j1": (
+            "single_kick", {("chain", "j1"): -1.0, ("chain", "j2"): 0.3, ("chain", "model"): "nnn_ladder"},
+            "config.chain: nnn_ladder requires j1 > 0",
+        ),
+        "b_strong--1": (
+            "double_kick", {("schedule", "b_strong"): -1},
+            "config.schedule: b_strong must be finite and >= 0, got -1.0",
+        ),
+        "n_periods--1": ("single_kick", {("n_periods",): -1}, "config: n_periods must be >= 0"),
+        "n_periods--1-huge-ring": (
+            "single_kick", {("n_periods",): -1, ("chain", "n_sites"): 10**15},
+            "config: n_periods must be >= 0",
+        ),
+        "snapshot_every-0": ("qkr", {("snapshot_every",): 0}, "config: snapshot_every must be >= 1"),
+        "n_steps-0": ("surface_of_section", {("n_steps",): 0}, "config: n_steps must be >= 1"),
+        "record_every-0-huge-ensemble": (
+            "classical_map",
+            {("record_every",): 0, ("initial", "uniform_x", "n_trajectories"): 10**15},
+            "config: record_every must be >= 1",
+        ),
+        "b_range_au--1": ("feasibility", {("b_range_au",): -1}, "config: b_range_au must be >= 0"),
+        "n_sites-0": ("feasibility", {("n_sites",): 0}, f"config: n_sites must be > 0 and <= {2**53}"),
+        "j_hz-0": ("feasibility", {("j_hz",): 0}, "config: j_hz must be > 0"),
+        "t0_seconds-0": ("feasibility", {("t0_seconds",): 0}, "config: t0_seconds must be > 0"),
+    }
+
+    @pytest.mark.parametrize("rule", LIBRARY_RULES)
+    def test_library_rule_exits_2_at_its_section(self, tmp_path, capsys, rule):
+        scenario, leaves, message = self.LIBRARY_RULES[rule]
+        cfg = shape_config(tmp_path, scenario)
+        path = write_probe(tmp_path, cfg, leaves)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_feasibility_overflowing_exchange_exits_1_without_output(self, tmp_path, capsys):
@@ -858,14 +970,7 @@ class TestCli:
         base, leaves = self.PROBES[probe]
         bundled = CONFIG_DIR / f"{base}.json"
         cfg = json.loads(bundled.read_text()) if bundled.exists() else shape_config(tmp_path, base)
-        for (*keys, last), value in leaves.items():
-            target = cfg
-            for key in keys:
-                target = target[key]
-            target[last] = value
-        cfg["output"] = str(tmp_path / "deep" / "run")
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path = write_probe(tmp_path, cfg, leaves)
         streams = []
         for command in ("validate", "run"):
             assert main([command, "--config", str(path)]) == 1
