@@ -1,22 +1,24 @@
-"""The random variant's per-trajectory streams, seeded for a whole tile at once.
+"""The random variant's per-trajectory streams, run for a whole tile at once.
 
-Trajectory i draws from child i of one ``SeedSequence``: what a fresh
-``seq.spawn`` hands out i-th, ``SeedSequence(seq.entropy, spawn_key=
-seq.spawn_key + (i,), pool_size=seq.pool_size)``.  Building those children one
-object at a time dominated the set-up of large ensembles, so
-:func:`child_states` runs numpy's documented SeedSequence hash on uint32
-arrays, one lane per child, and :func:`child_generators` seeds each PCG64 from
-its row.  The streams are numpy's own, bit for bit.
-
-Only a run that draws imports this module, because it loads ``numpy.random``,
-which validation and the deterministic runs never need.
+Trajectory i draws ``default_rng(child).random()`` of child i of one
+``SeedSequence``: what a fresh ``seq.spawn`` hands out i-th.  No child or
+generator is built.  :func:`child_states` runs numpy's documented SeedSequence
+hash on uint32 lanes, one per child, and :func:`angles` runs numpy's ``PCG64``
+on uint64 lanes: O'Neill's PCG XSL-RR 128/64 (HMC-CS-2014-0905), a 128-bit LCG
+with multiplier ``0x2360ED051FC65DA44385DF649FCCF645`` whose output is the xor
+of the state's halves rotated right by its top 6 bits, seeded from
+``generate_state(4, np.uint64)``.  A refill jumps the LCG ``_STEPS`` steps
+ahead at once, so each ufunc call does the work of many steps.  The Tier-1
+tests pin the draws to numpy's, bit for bit.
 """
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier.
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Steps drawn per refill of a tile's buffer of angles.
+_STEPS = 8
 
 
 def _words(x) -> list[int]:
@@ -80,17 +82,77 @@ def child_states(seq, a: int, b: int) -> np.ndarray:
     return lo | (hi << np.uint64(32))
 
 
-class _Seeded(ISeedSequence):
-    """A seed that hands PCG64 one precomputed state row."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 reads its seed once, as generate_state(4, np.uint64)
-        return self.row
+def _columns(values):
+    """128-bit ints as a (high, low) pair of uint64 columns."""
+    return np.array([[[v >> 64], [v % 2**64]] for v in values], np.uint64).transpose(1, 0, 2)
 
 
-def child_generators(seq, a: int, b: int) -> list[Generator]:
-    """``default_rng`` of children a..b-1 of ``seq``, in order."""
-    return [Generator(PCG64(_Seeded(row))) for row in child_states(seq, a, b)]
+def _lcg(c, x, d, work) -> None:
+    """Put the low 128 bits of ``c * x + d`` in ``work[0]`` (high) and ``work[1]`` (low).
+
+    ``c`` is a (high, low) pair of uint64 columns, ``x`` and ``d`` such pairs of
+    lanes; ``work[2:]`` is scratch.  The limbs are ``_floatcsv._mulhi``'s, but in
+    place: new temporaries of a tile's size cost more in page faults than the math.
+    """
+    (c1, c0), (x1, x0), (d1, d0) = c, x, d
+    high, low, t, u = work
+    c0_lo, c0_hi, x0_lo, x0_hi = c0 & _MASK, c0 >> 32, x0 & _MASK, x0 >> 32
+    np.multiply(c0_lo, x0_lo, out=t)
+    t >>= 32
+    np.multiply(c0_hi, x0_lo, out=u)
+    u += t
+    np.multiply(c0_lo, x0_hi, out=t)
+    np.bitwise_and(u, _MASK, out=low)
+    t += low
+    t >>= 32
+    u >>= 32
+    np.multiply(c0_hi, x0_hi, out=high)
+    high += u
+    high += t
+    for a, b in ((c0, x1), (c1, x0)):
+        np.multiply(a, b, out=t)
+        high += t
+    high += d1
+    np.multiply(c0, x0, out=low)
+    low += d0
+    high += low < d0
+
+
+def angles(seq, a: int, b: int, n_steps: int):
+    """Yield ``2π * default_rng(child).random()`` of children a..b-1 of ``seq``, one row per step.
+
+    A row is a view of a buffer refilled every ``_STEPS`` steps, valid until the next is asked for.
+    """
+    k = _STEPS
+    work = np.empty((4, k, b - a), np.uint64)
+    high, low, t, u = work
+    # PCG64 reads (initstate, initseq) as the seed's word pairs, high word first,
+    # and sets inc = 2 initseq + 1 and state = M (initstate + inc) + inc
+    seed = child_states(seq, a, b).T
+    inc = (seed[2] << 1) | (seed[3] >> 63), (seed[3] << 1) | 1
+    state = seed[:2]
+    for c in (1, _MULT):
+        _lcg(_columns([c]), state, inc, work[:, :1])
+        state = work[:2, 0].copy()
+    # j steps from s give M**j s + C_j inc, with C_j = 1 + M + ... + M**(j-1)
+    powers = [pow(_MULT, j, 2**128) for j in range(1, k + 1)]
+    sums = [(1 + sum(powers[:j])) % 2**128 for j in range(k)]
+    _lcg(_columns(sums), inc, (0, 0), work)
+    jump, step_inc = _columns(powers), work[:2].copy()
+    buf = np.empty((k, b - a))
+    for t0 in range(0, n_steps, k):
+        _lcg(jump, state, step_inc, work)
+        state[:] = work[:2, -1]
+        # XSL-RR: the xor of the two halves, rotated right by the top 6 bits
+        np.bitwise_xor(high, low, out=t)
+        high >>= 58
+        np.right_shift(t, high, out=u)
+        np.negative(high, out=high)
+        high &= 63
+        np.left_shift(t, high, out=low)
+        u |= low
+        u >>= 11
+        # Generator.random() is (next >> 11) * 2**-53; a power of two scales
+        # 2π exactly, so one multiply rounds as the two would
+        np.multiply(u.view(np.int64), 2.0 * np.pi * 2.0**-53, out=buf)
+        yield from buf[:min(k, n_steps - t0)]

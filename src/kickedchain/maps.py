@@ -22,6 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _streams
 from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers
 from .specs import (
     DoubleKickMap,
@@ -50,11 +51,6 @@ __all__ = [
 
 # Trajectories per tile: the contiguous slice of the ensemble one thread steps.
 _TILE = 4096
-# Bytes per chunk of angle draws of one tile (random variant only).
-_DRAW_BUDGET = 8 * 2**20
-# Bytes of the transposed panel of draws a tile steps through a chunk by; it
-# stays in L2 (2 MiB on the 2-vCPU Xeon the benchmark figures come from).
-_PANEL_BUDGET = 2**20
 # |V''(x*)| below which a fixed point is reported as marginal.
 MARGINAL_TOL = 1e-9
 
@@ -136,41 +132,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _angle_draws(seq, a, b, n_steps):
-    """Yield the angles of trajectories a:b for each of ``n_steps`` steps.
-
-    Trajectory i draws from child i of ``seq``.  The draws of a chunk of
-    steps go to one block, one row per trajectory, and are stepped through
-    by panels of its transpose, one contiguous row per step.  Block and
-    panel are allocated once and reused, so a yielded row is valid only
-    until the next one is asked for.
-    """
-    # imported here: it loads numpy.random, which only a run that draws needs
-    from ._streams import child_generators
-
-    rngs = child_generators(seq, a, b)
-    chunk = min(n_steps, max(1, _DRAW_BUDGET // (8 * (b - a))))
-    width = min(chunk, max(1, _PANEL_BUDGET // (8 * (b - a))))
-    block = np.empty((b - a, chunk))
-    panel = np.empty((width, b - a))
-    for t0 in range(0, n_steps, chunk):
-        draws = block[:, :min(chunk, n_steps - t0)]
-        for row, rng in zip(draws, rngs):
-            rng.random(out=row)
-        # 2*pi*u is rng.uniform(0, 2*pi) bit for bit (it adds 0.0), at a
-        # third of its cost
-        np.multiply(draws, TWO_PI, out=draws)
-        for s0 in range(0, draws.shape[1], width):
-            cols = draws[:, s0:s0 + width]
-            rows = panel[:cols.shape[1]]
-            np.copyto(rows, cols.T)
-            yield from rows
-
-
 def _advance_tile(x, p, spec, n_steps, seq, a, b, emit):
     """Step trajectories a:b; return how many of them ended non-finite."""
     x, p = x[a:b], p[a:b]
-    angles = repeat(None, n_steps) if seq is None else _angle_draws(seq, a, b, n_steps)
+    angles = repeat(None, n_steps) if seq is None else _streams.angles(seq, a, b, n_steps)
     for t, draws in enumerate(angles, 1):
         x, p = _step(x, p, spec, draws)
         emit(t, a, b, x, p)
@@ -183,7 +148,7 @@ def _advance(x, p, spec: MapSpec, n_steps: int, seed, emit) -> None:
     The ensemble is cut into contiguous tiles of at most ``_TILE``
     trajectories; ``x`` and ``p`` passed to ``emit`` are the new state of
     trajectories a:b.  Tiles run on one thread per usable CPU (numpy's
-    ufuncs and draws release the GIL), and emit calls of different tiles may
+    ufuncs release the GIL), and emit calls of different tiles may
     interleave.  Every element sees the same arithmetic whatever the tiling,
     so results do not depend on the number of threads.  Trajectory i of the
     random variant draws its angles from child i of ``seed``.

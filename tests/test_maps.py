@@ -405,6 +405,37 @@ class TestChildStates:
         np.testing.assert_array_equal(_streams.child_states(seq, 30, 40), expected)
 
 
+class TestLanes:
+    """The PCG64 lanes the random variant draws its angles from."""
+
+    @staticmethod
+    def _check(seq, a, lanes, n_steps):
+        drawn = np.array([row.copy() for row in _streams.angles(seq, a, a + lanes, n_steps)])
+        expected = np.column_stack([
+            np.random.default_rng(
+                np.random.SeedSequence(
+                    seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
+                )
+            ).random(n_steps) * (2 * np.pi)
+            for i in range(a, a + lanes)
+        ])
+        np.testing.assert_array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 37])
+    @pytest.mark.parametrize("i", [0, 4095, 4096, maps_module.MAX_ENSEMBLE - 1])
+    @pytest.mark.parametrize("name", TestChildStates.SEEDS)
+    def test_lanes_equal_numpy_draws(self, name, i, n_steps, lanes):
+        # the tile holds child i and stays below the ensemble cap
+        self._check(TestChildStates.SEEDS[name], min(i, maps_module.MAX_ENSEMBLE - lanes), lanes, n_steps)
+
+    @pytest.mark.parametrize("steps", [1, 3, 16])
+    def test_other_refill_sizes(self, steps, monkeypatch):
+        monkeypatch.setattr(_streams, "_STEPS", steps)
+        for i in (0, maps_module.MAX_ENSEMBLE - 3):
+            self._check(TestChildStates.SEEDS["spawned"], i, 3, 37)
+
+
 class TestEnsembleCap:
     def test_rejects_oversized_ensemble(self):
         from kickedchain.maps import MAX_ENSEMBLE
@@ -502,8 +533,8 @@ ALL_SPECS = DETERMINISTIC_SPECS + [RandomRescaledDoubleKickMap(k_eps=0.35)]
 
 def _use_small_tiles(monkeypatch):
     """Cut 10 trajectories into four tiles of 2-3 on a two-thread pool, with
-    draw chunks of 2-3 steps stepped by panels of 1-2 (a chunk of 3 ends in a
-    ragged panel of 1); return the list of tiles stepped."""
+    angles drawn 2 steps per refill (37 steps end in a ragged refill of 1);
+    return the list of tiles stepped."""
     tiles = []
     advance_tile = maps_module._advance_tile
 
@@ -512,8 +543,7 @@ def _use_small_tiles(monkeypatch):
         return advance_tile(x, p, spec, n_steps, seq, a, b, emit)
 
     monkeypatch.setattr(maps_module, "_TILE", 3)
-    monkeypatch.setattr(maps_module, "_DRAW_BUDGET", 8 * 6)
-    monkeypatch.setattr(maps_module, "_PANEL_BUDGET", 8 * 4)
+    monkeypatch.setattr(_streams, "_STEPS", 2)
     monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(maps_module, "_advance_tile", spy)
     return tiles
@@ -541,8 +571,8 @@ class TestEngine:
         np.testing.assert_array_equal(tiled_sos, sos)
 
     def test_draw_buffers_stay_within_two_budgets(self, monkeypatch):
-        # one thread steps one 4096-trajectory tile: its draw block (one
-        # budget) and its panel are the only large arrays it holds
+        # one thread steps one 4096-trajectory tile: its (8, 4096) buffer of
+        # angles and the refill's temporaries are the only large arrays it holds
         monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 1)
         x0, p0 = np.zeros(4096), np.linspace(-1.0, 1.0, 4096)
         tracemalloc.start()
@@ -551,7 +581,7 @@ class TestEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * maps_module._DRAW_BUDGET
+        assert peak < 4 * 2**20
 
     def test_more_threads_than_cores_lose_no_writes(self, monkeypatch):
         # 32 tiles on 16 threads, switching every microsecond: every tile must
