@@ -7,7 +7,7 @@ import json
 import sys
 
 from .feasibility import DEFAULT_T0_SECONDS, feasibility
-from .scenario import ConfigError, run_scenario, validate_config
+from .scenario import ConfigError, read_config, run_scenario, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,14 +48,10 @@ def main(argv=None) -> int:
             report = feasibility(args.b_range, args.sites, args.j_hz, args.t0_s)
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         else:
-            with open(args.config) as fh:
-                validate_config(json.load(fh))
+            validate_config(read_config(args.config))
             print(f"OK: {args.config}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: not valid JSON ({exc})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from .specs import (
     check_chain_phases,
 )
 
-__all__ = ["ConfigError", "validate_config", "run_scenario", "SCENARIOS"]
+__all__ = ["ConfigError", "read_config", "validate_config", "run_scenario", "SCENARIOS"]
 
 CHAIN_MODELS = tuple(model.value for model in ChainModel)
 # The schedule and map dataclasses a config section is built from; their
@@ -300,6 +300,28 @@ def validate_config(raw: dict) -> dict:
     return out
 
 
+def _unique(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_config(path) -> dict:
+    """Parse the JSON config at ``path``; a text that is not one JSON document
+    with unique keys is a :class:`ConfigError`, an unreadable file an ``OSError``."""
+    text = Path(path).read_bytes()
+    try:
+        return json.loads(text, object_pairs_hook=_unique)
+    except ConfigError:
+        raise
+    # also a bad encoding, an integer past the digit limit, or deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"not valid JSON ({exc})") from None
+
+
 def _classical_initials(initial_cfg: dict, seed):
     import numpy as np
 
@@ -513,12 +535,7 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     report is written before the CSV, so a run that is refused, or whose
     report cannot be encoded, leaves no output files and no new directory.
     """
-    if isinstance(config, (str, Path)):
-        with open(config) as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(config)
-    cfg = validate_config(raw)
+    cfg = validate_config(read_config(config) if isinstance(config, (str, Path)) else dict(config))
     if seed is not None:
         if not 0 <= seed < 2**64:
             raise ConfigError("config.seed: must be an unsigned 64-bit integer")

@@ -39,6 +39,7 @@ from kickedchain.scenario import (
     _write_dist_csv,
     _write_report,
     _write_sos_csv,
+    read_config,
     run_scenario,
     validate_config,
 )
@@ -1015,6 +1016,38 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
+
+    # (text in localization.json, its replacement, what the one stderr line names)
+    READER_PROBES = {
+        "5001-digit-j1": ('"j1": 1.0', '"j1": ' + "1" * 5001, "Exceeds the limit (4300 digits)"),
+        "duplicate-seed": ('"seed": ', '"seed": 3, "seed": ', "duplicate key 'seed'"),
+        "nested-100000": ('"scenario": "single_kick"', '"scenario": ' + "[" * 100_000, "maximum recursion depth"),
+    }
+
+    @pytest.mark.parametrize("probe", READER_PROBES)
+    def test_unreadable_config_exits_2_without_output(self, tmp_path, capsys, probe):
+        old, new, message = self.READER_PROBES[probe]
+        cfg = json.loads((CONFIG_DIR / "localization.json").read_text())
+        cfg["output"] = str(tmp_path / "out" / "loc")
+        text = json.dumps(cfg)
+        assert old in text
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(old, new, 1))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert re.fullmatch(r"config error: [^\n]+\n", err)
+            assert message in err
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_scenario(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_duplicate_key_refused_at_any_depth(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"chain": {"n_sites": 8, "j1": 1.0, "n_sites": 16}}')
+        with pytest.raises(ConfigError, match="^duplicate key 'n_sites'$"):
+            read_config(path)
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
