@@ -572,7 +572,7 @@ class TestEngine:
 
     def test_draw_buffers_stay_within_two_budgets(self, monkeypatch):
         # one thread steps one 4096-trajectory tile: its (8, 4096) buffer of
-        # angles and the refill's temporaries are the only large arrays it holds
+        # angles and its (4, 8, 4096) work array are the largest arrays it holds
         monkeypatch.setattr(maps_module, "_usable_cpus", lambda: 1)
         x0, p0 = np.zeros(4096), np.linspace(-1.0, 1.0, 4096)
         tracemalloc.start()
