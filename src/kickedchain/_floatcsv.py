@@ -1,4 +1,4 @@
-"""CSV rows whose floats read exactly as ``repr`` writes them, formatted by numpy.
+"""CSV files in ``csv.writer``'s default dialect, with floats as ``repr`` writes them.
 
 ``float.__repr__`` prints the shortest decimal that reads back as the same
 double, the nearest one when several are as short.  It finds those digits
@@ -262,3 +262,14 @@ def write_rows(fh, head: str, labels, values) -> None:
         _fill(fields, values[start : start + len(block)])
         text = block.view(np.uint8)
         fh.write(text[text != 0])
+
+
+def write_csv(path, header: str, labels, blocks) -> None:
+    """Write ``header``; then, for each ``(index, values)`` of ``blocks``, one row per
+    row ``i`` of ``values``: ``index``, the integer ``labels[i]``, the floats ``values[i]``."""
+    labels = label_words(labels)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for index, values in blocks:
+            write_rows(fh, f"{index},", labels, values)
+        fh.write(b"\r\n")

@@ -338,36 +338,6 @@ def _classical_initials(initial_cfg: dict, seed):
     return x0, p0
 
 
-# The CSV writers below keep the bytes of csv.writer's default dialect: rows end
-# in "\r\n", floats are their shortest repr, labels are str(int), nothing is
-# quoted.  ``_floatcsv`` formats the floats of a snapshot or trajectory with
-# numpy, a block of rows at a time, and writes each row after the "\r\n" that
-# ends the line before it; the file's last "\r\n" is written here.  It is
-# imported here, so that validation loads no numpy.
-
-
-def _write_dist_csv(path: Path, snapshots, site_labels) -> None:
-    from ._floatcsv import label_words, write_rows
-
-    labels = label_words(site_labels)
-    with path.open("wb") as fh:
-        fh.write(b"period,site,probability")
-        for period, dist in snapshots:
-            write_rows(fh, f"{period},", labels, dist[:, None])
-        fh.write(b"\r\n")
-
-
-def _write_sos_csv(path: Path, sections) -> None:
-    from ._floatcsv import label_words, write_rows
-
-    labels = label_words(range(1, sections.shape[1] + 1))
-    with path.open("wb") as fh:
-        fh.write(b"trajectory,step,x,p")
-        for traj, points in enumerate(sections):
-            write_rows(fh, f"{traj},", labels, points)
-        fh.write(b"\r\n")
-
-
 def _write_report(path: Path, config: dict, report: dict) -> None:
     doc = {"config": config, "report": report, "seed": config["seed"], "version": __version__}
     # encoded first, so a non-finite value leaves no partial report and no new directory
@@ -447,7 +417,8 @@ def _run_chain(cfg):
         state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
     record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
     report = _propagation_report(cfg, record, s0)
-    return report, ("_dist.csv", _write_dist_csv, record.snapshots, range(chain.n_sites))
+    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
+    return report, ("_dist.csv", "period,site,probability", range(chain.n_sites), blocks)
 
 
 def _run_qkr(cfg):
@@ -457,7 +428,8 @@ def _run_qkr(cfg):
     lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
     labels = range(lo, lo + rotor["n_basis"])
     report = _propagation_report(cfg, record, rotor["n_basis"] // 2)
-    return report, ("_dist.csv", _write_dist_csv, record.snapshots, labels)
+    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
+    return report, ("_dist.csv", "period,site,probability", labels, blocks)
 
 
 def _run_classical(cfg):
@@ -474,7 +446,8 @@ def _run_classical(cfg):
     if "record_every" not in cfg:
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
         report = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
-        return report, ("_sos.csv", _write_sos_csv, sections)
+        steps = range(1, sections.shape[1] + 1)
+        return report, ("_sos.csv", "trajectory,step,x,p", steps, enumerate(sections))
     stats = iterate_ensemble(x0, p0, spec, cfg["n_steps"], cfg["record_every"], seed=run_ss)
     report = {
         "n_trajectories": int(x0.size),
@@ -493,7 +466,7 @@ def _run_feasibility(cfg):
 class _Scenario(NamedTuple):
     """One run type: its top-level fields besides scenario, seed and output;
     its validator, which fills in the resolved config; its runner, which
-    returns the report and either None or (CSV suffix, writer, *writer args);
+    returns the report and either None or (CSV suffix, header, labels, blocks);
     and for a propagation ``diagnose(cfg, record, s0)``, the report's own keys."""
 
     fields: tuple
@@ -549,9 +522,11 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     _write_report(report_path, cfg, report)
     files = [report_path]
     if csv is not None:
-        suffix, write, *args = csv
+        from ._floatcsv import write_csv  # here, so that validation loads no numpy
+
+        suffix, *table = csv
         csv_path = prefix.parent / (prefix.name + suffix)
-        write(csv_path, *args)
+        write_csv(csv_path, *table)
         files.insert(0, csv_path)
 
     return {

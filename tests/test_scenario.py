@@ -32,13 +32,12 @@ from kickedchain import (
     __version__,
     feasibility,
 )
+from kickedchain._floatcsv import write_csv
 from kickedchain.cli import main
 from kickedchain.evolution import qkr_evolve
 from kickedchain.scenario import (
     ConfigError,
-    _write_dist_csv,
     _write_report,
-    _write_sos_csv,
     read_config,
     run_scenario,
     validate_config,
@@ -81,6 +80,17 @@ def oracle_sos_csv(path, sections):
             for step in range(sections.shape[1]):
                 x, p = sections[traj, step]
                 writer.writerow([traj, step + 1, repr(float(x)), repr(float(p))])
+
+
+def write_dist_csv(path, snapshots, site_labels):
+    """The dist CSV as a propagation run writes it."""
+    blocks = ((period, dist[:, None]) for period, dist in snapshots)
+    write_csv(path, "period,site,probability", site_labels, blocks)
+
+
+def write_sos_csv(path, sections):
+    """The section CSV as a surface-of-section run writes it."""
+    write_csv(path, "trajectory,step,x,p", range(1, sections.shape[1] + 1), enumerate(sections))
 
 
 EDGE_FLOATS = [0.0, 5e-324, 1e-300, 0.1, 1e16]
@@ -636,7 +646,7 @@ class TestReportShape:
 
 
 class TestWriterBytes:
-    """The one-pass writers reproduce the csv.writer oracle byte for byte."""
+    """``write_csv`` reproduces the csv.writer oracles byte for byte."""
 
     def assert_same_bytes(self, tmp_path, write, oracle, *args):
         write(tmp_path / "new.csv", *args)
@@ -647,11 +657,11 @@ class TestWriterBytes:
         dist = np.array(EDGE_FLOATS)
         snapshots = [(0, dist), (7, dist[::-1].copy())]
         self.assert_same_bytes(
-            tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, range(len(dist))
+            tmp_path, write_dist_csv, oracle_dist_csv, snapshots, range(len(dist))
         )
         # a snapshot longer than the writer formats in one pass
         long = np.random.default_rng(3).dirichlet(np.ones(5000))
-        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, [(1, long), (2, long)], range(5000))
+        self.assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, [(1, long), (2, long)], range(5000))
 
     def test_dist_negative_int64_momentum_labels(self, tmp_path):
         cfg = {
@@ -682,11 +692,11 @@ class TestWriterBytes:
         x = np.array(EDGE_FLOATS)
         sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([x[::-1], -x], axis=-1)])
         assert sections.shape == (2, 5, 2)
-        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        self.assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, sections)
 
     def test_sos_one_trajectory_one_step(self, tmp_path):
         sections = np.array([[[0.1, -2.5]]])
-        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        self.assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, sections)
         assert (tmp_path / "new.csv").read_bytes() == b"trajectory,step,x,p\r\n0,1,0.1,-2.5\r\n"
 
     # where repr changes form: the sign of zero, the switch to the exponent
@@ -701,16 +711,16 @@ class TestWriterBytes:
         dist = np.array(self.FORMAT_EDGES)
         labels = np.arange(-4, len(dist) - 4, dtype=np.int64)
         snapshots = [(0, dist), (3, -dist[::-1].copy())]
-        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, labels)
+        self.assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, snapshots, labels)
         assert b"\r\n0,-4,-0.0\r\n0,-3,1e-05\r\n0,-2,0.0001\r\n" in (tmp_path / "new.csv").read_bytes()
 
     def test_sos_format_edges(self, tmp_path):
         x = np.array(self.FORMAT_EDGES)
         sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([-x, x[::-1]], axis=-1)])
-        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        self.assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, sections)
         # rows off the kernel's fast path (repr one value at a time, and -0.0) between rows on it
         x = np.array([0.1, 3e16, 2.5, 1.7976931348623157e308, -0.0, 0.75])
-        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, np.stack([x, x[::-1]], axis=-1)[None])
+        self.assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, np.stack([x, x[::-1]], axis=-1)[None])
 
     @given(data=st.data())
     @settings(
@@ -725,11 +735,11 @@ class TestWriterBytes:
         rows = data.draw(st.integers(1, 50), label="rows")
         floats = st.floats(allow_nan=False, allow_infinity=False)
         sections = data.draw(hnp.arrays(np.float64, (blocks, rows, 2), elements=floats))
-        self.assert_same_bytes(tmp_path, _write_sos_csv, oracle_sos_csv, sections)
+        self.assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, sections)
         labels = data.draw(hnp.arrays(np.int64, rows), label="labels")
         periods = data.draw(st.lists(st.integers(0, 2**62), min_size=blocks, max_size=blocks))
         snapshots = list(zip(periods, sections[:, :, 0]))
-        self.assert_same_bytes(tmp_path, _write_dist_csv, oracle_dist_csv, snapshots, labels)
+        self.assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, snapshots, labels)
 
 
 class TestCli:
