@@ -145,6 +145,14 @@ def _integer(obj, path, key, minimum=None, maximum=None):
     return v
 
 
+def _seed(value):
+    """The run's seed, an integer that fits 64 unsigned bits."""
+    seed = _integer({"seed": value}, "config", "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("config.seed: must be an unsigned 64-bit integer")
+    return seed
+
+
 def _string(obj, path, key, choices=None):
     if key not in obj:
         raise ConfigError(f"{path}: missing required field '{key}'")
@@ -293,7 +301,7 @@ def validate_config(raw: dict) -> dict:
 
     out = {
         "scenario": scenario,
-        "seed": _integer(raw, "config", "seed", minimum=0, maximum=2**64 - 1),
+        "seed": _seed(raw["seed"]),
         "output": _string(raw, "config", "output"),
     }
     entry.validate(raw, out)
@@ -502,19 +510,19 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     """Execute one scenario and write its output files.
 
     ``config`` is a path to a JSON document or an already-parsed dict.
-    ``seed`` and ``out_prefix`` override the corresponding config fields.
+    ``seed`` and ``out_prefix`` override the config's seed and output, and
+    must pass the same checks.
     Returns {"files": [paths written], "config": resolved config,
     "warnings": [...]}; warnings are also embedded in the report.  The
     report is written before the CSV, so a run that is refused, or whose
     report cannot be encoded, leaves no output files and no new directory.
     """
     cfg = validate_config(read_config(config) if isinstance(config, (str, Path)) else dict(config))
+    # after the config's own fields, each override by the rule of the field it replaces
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("config.seed: must be an unsigned 64-bit integer")
-        cfg["seed"] = seed
+        cfg["seed"] = _seed(seed)
     if out_prefix is not None:
-        cfg["output"] = out_prefix
+        cfg["output"] = _string({"output": out_prefix}, "config", "output")
 
     report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
     prefix = Path(cfg["output"])

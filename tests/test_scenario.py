@@ -411,15 +411,28 @@ class TestRunScenario:
         base = run_scenario(cfg)
         dist = next(f for f in base["files"] if f.endswith("_dist.csv"))
         original = Path(dist).read_bytes()
-        run_scenario(cfg, seed=6)
+        result = run_scenario(cfg, seed=6)
         assert Path(dist).read_bytes() != original
+        # the report stores the override, and the stored config validates as it stands
+        assert result["config"]["seed"] == 6
+        assert validate_config(result["config"]) == result["config"]
         run_scenario(cfg, seed=5)
         assert Path(dist).read_bytes() == original
 
-    @pytest.mark.parametrize("seed", [2**64, -1])
-    def test_seed_override_must_fit_u64(self, tmp_path, seed):
-        with pytest.raises(ConfigError, match="config.seed: must be an unsigned 64-bit integer"):
-            run_scenario(small_single_kick(tmp_path), seed=seed)
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param({"seed": 2**64}, "config.seed: must be an unsigned 64-bit integer", id=str(2**64)),
+            pytest.param({"seed": -1}, "config.seed: must be an unsigned 64-bit integer", id="-1"),
+            # refused as the config's own seed and output are, not stored or passed on
+            pytest.param({"seed": True}, "config.seed: expected an integer", id="True"),
+            pytest.param({"seed": 1.5}, "config.seed: expected an integer", id="1.5"),
+            pytest.param({"out_prefix": 5}, "config.output: expected a string", id="out_prefix-5"),
+        ],
+    )
+    def test_seed_override_must_fit_u64(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_scenario(small_single_kick(tmp_path), **overrides)
         assert list(tmp_path.iterdir()) == []
 
     def test_magnon_start_on_nnn_ladder(self, tmp_path):
@@ -791,8 +804,20 @@ class TestCli:
                 "config.initial.uniform_x.p_jitter: 2 * p_jitter",
             ),
             ("feasibility", (), "n_sites", 10**400, f"config: n_sites must be > 0 and <= {2**53}"),
+            ("surface_of_section", (), "map", [1], "config.map: expected an object"),
+            *(
+                (
+                    "surface_of_section", "initial", "points", points,
+                    "config.initial.points: expected a non-empty list of [x, p] pairs",
+                )
+                for points in ([], 3)
+            ),
+            (
+                "surface_of_section", (), "initial", {},
+                "config.initial: expected exactly one of 'points' or 'uniform_x'",
+            ),
         ],
-        ids=["initial_momentum", "p_jitter", "n_sites"],
+        ids=["initial_momentum", "p_jitter", "n_sites", "map-list", "points-empty", "points-3", "initial-empty"],
     )
     def test_out_of_range_exits_2_without_output(
         self, tmp_path, capsys, scenario, section, key, value, message
@@ -1219,6 +1244,19 @@ class TestPackageExports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(kickedchain, "no_such_name")
+
+    def test_scenario_binds_engine_callee_on_first_access(self):
+        # scenario.py binds its numeric callees on first use; perfbench/spans.py
+        # reads them from the module before any run has bound them
+        code = (
+            "import kickedchain.scenario as scenario\n"
+            "assert 'evolve' not in vars(scenario)\n"
+            "evolve = getattr(scenario, 'evolve')\n"
+            "import kickedchain.evolution\n"
+            "assert evolve is kickedchain.evolution.evolve"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBundledRuns:
