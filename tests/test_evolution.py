@@ -244,6 +244,27 @@ class TestBuildFloquet:
         assert np.abs(psi - rec.final_state).max() < 1e-8
 
 
+class TestDoubleKickOrder:
+    """A double-kick period is a weak single-kick period, then a strong one."""
+
+    CFG = ChainConfig(n_sites=64, j1=1.0)
+    SCHEDULE = DoubleKick(b_weak=0.05, b_strong=0.5, period=2.0)
+
+    def product(self):
+        weak, strong = (build_floquet(self.CFG, SingleKick(b, 2.0)) for b in (0.05, 0.5))
+        return strong @ weak
+
+    def test_floquet_is_strong_after_weak(self):
+        # the swapped product differs by about 1.26
+        u = build_floquet(self.CFG, self.SCHEDULE)
+        np.testing.assert_allclose(u, self.product(), rtol=0, atol=1e-12)
+
+    def test_evolve_period_is_strong_after_weak(self):
+        # one period from a delta at site 32 is column 32 of the product; swapped, it is off by 0.54
+        rec = evolve(delta_state(64, 32), self.CFG, self.SCHEDULE, 1)
+        np.testing.assert_allclose(rec.final_state, self.product()[:, 32], rtol=0, atol=1e-12)
+
+
 class TestQkrEvolve:
     def test_free_rotor_keeps_delta(self):
         rec = qkr_evolve(0, k=0.0, hbar=0.5, n_periods=20, n_basis=64)
