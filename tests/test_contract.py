@@ -9,11 +9,16 @@ validated through ``cli.main``, and the two front ends must agree: a config
 that ``validate`` refuses, ``run`` refuses with the same exit code and the
 same message, and a config that ``validate`` accepts, ``run`` runs, unless
 it meets one of ``RUN_TIME_FAILURES``.
+
+The same holds for the text of a shrunk bundled config with one edit: a byte
+flipped, deleted or inserted, a key duplicated, a number replaced by a
+5,000-digit literal, or a value wrapped in nested lists.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -84,6 +89,43 @@ def mutated_configs(draw):
     return cfg
 
 
+# A number or string value in json.dumps's layout: after "[" or a space, and not a key.
+VALUE = re.compile(r'(?<=[\[ ])(?:-?\d[-+.\deE]*|"[^"]*"(?!:))')
+# Bytes for a flip or an insertion, JSON's own characters drawn more often than the rest.
+BYTES = st.one_of(st.sampled_from(b'0123456789.-+eE[]{}",: \\'), st.integers(0, 255))
+
+
+@st.composite
+def edited_texts(draw):
+    name = draw(st.sampled_from(NAMES))
+    text = json.dumps(_shrink(json.loads((CONFIG_DIR / f"{name}.json").read_text())))
+    edit = draw(st.sampled_from(["flip", "delete", "insert", "duplicate", "digits", "nest"]))
+    if edit in ("flip", "delete", "insert"):
+        data = bytearray(text.encode())
+        at = draw(st.integers(0, len(data) - 1))
+        if edit == "flip":
+            data[at] = draw(BYTES)
+        elif edit == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(BYTES))
+        return bytes(data)
+    if edit == "duplicate":
+        key = draw(st.sampled_from(list(re.finditer(r'"\w+": ', text))))
+        value = draw(st.sampled_from(["0", '"x"', "null", "{}"]))
+        return (text[: key.start()] + key.group() + value + ", " + text[key.start() :]).encode()
+    spans = [m.span() for m in VALUE.finditer(text) if edit == "nest" or m.group()[0] != '"']
+    start, end = draw(st.sampled_from(spans))
+    if edit == "digits":
+        new = draw(st.sampled_from(["", "-"])) + "1" * 5000 + draw(st.sampled_from(["", ".5", "e-4990"]))
+    else:
+        # depths far from the recursion limit, so that validate and run, a few
+        # frames apart, parse the text alike
+        depth = draw(st.sampled_from([1, 3, 100_000]))
+        new = "[" * depth + text[start:end] + "]" * depth
+    return (text[:start] + new + text[end:]).encode()
+
+
 def _main(argv):
     """Exit code and stderr of ``cli.main(argv)``."""
     err = io.StringIO()
@@ -96,22 +138,40 @@ def _refuse_constant(name):
     raise AssertionError(f"report holds the non-standard JSON constant {name}")
 
 
+def _assert_runs_or_is_refused(config, out):
+    """``validate`` and ``run`` of ``config`` agree, and a refused run writes nothing under ``out``."""
+    verdict = _main(["validate", "--config", str(config)])
+    code, err = _main(["run", "--config", str(config), "--out", str(out / "deep" / "run")])
+    assert code in (0, 1, 2)
+    if verdict[0]:
+        assert (code, err) == verdict
+    else:
+        assert code == 0 or (code == 1 and any(f in err for f in RUN_TIME_FAILURES)), err
+    if code == 0:
+        report = (out / "deep" / "run_report.json").read_text()
+        json.loads(report, parse_constant=_refuse_constant)
+    else:
+        assert not out.exists()
+    return code
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(cfg=mutated_configs())
 def test_every_input_runs_or_is_refused(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
-        out = Path(tmp) / "out"
-        verdict = _main(["validate", "--config", str(config)])
-        code, err = _main(["run", "--config", str(config), "--out", str(out / "deep" / "run")])
-        assert code in (0, 1, 2)
-        if verdict[0]:
-            assert (code, err) == verdict
-        else:
-            assert code == 0 or (code == 1 and any(f in err for f in RUN_TIME_FAILURES)), err
-        if code == 0:
-            report = (out / "deep" / "run_report.json").read_text()
-            json.loads(report, parse_constant=_refuse_constant)
-        else:
-            assert not out.exists()
+        _assert_runs_or_is_refused(config, Path(tmp) / "out")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(text=edited_texts())
+def test_every_text_runs_or_is_refused(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(text)
+        code = _assert_runs_or_is_refused(config, Path(tmp) / "out")
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError):
+        assert code == 2, "a text that is not one JSON document is a config error"
