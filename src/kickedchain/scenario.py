@@ -518,7 +518,7 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     report cannot be encoded, leaves no output files and no new directory.
     """
     cfg = validate_config(read_config(config) if isinstance(config, (str, Path)) else dict(config))
-    # after the config's own fields, each override by the rule of the field it replaces
+    # after validate_config, so that a run refuses a config exactly as validate does
     if seed is not None:
         cfg["seed"] = _seed(seed)
     if out_prefix is not None:

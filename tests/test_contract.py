@@ -11,8 +11,9 @@ same message, and a config that ``validate`` accepts, ``run`` runs, unless
 it meets one of ``RUN_TIME_FAILURES``.
 
 The same holds for the text of a shrunk bundled config with one edit: a byte
-flipped, deleted or inserted, a key duplicated, a number replaced by a
-5,000-digit literal, or a value wrapped in nested lists.
+replaced, deleted or inserted, a key duplicated, a number replaced by a
+5,000-digit literal, or a value wrapped in nested lists.  A text that is not
+one JSON document must exit 2.
 """
 
 import contextlib
