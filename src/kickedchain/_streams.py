@@ -8,17 +8,27 @@ on uint64 lanes: O'Neill's PCG XSL-RR 128/64 (HMC-CS-2014-0905), a 128-bit LCG
 with multiplier ``0x2360ED051FC65DA44385DF649FCCF645`` whose output is the xor
 of the state's halves rotated right by its top 6 bits, seeded from
 ``generate_state(4, np.uint64)``.  A refill jumps the LCG ``_STEPS`` steps
-ahead at once, so each ufunc call does the work of many steps.  The Tier-1
-tests pin the draws to numpy's, bit for bit.
+ahead at once, so each ufunc call does the work of many steps.  :func:`uniform`
+runs one such stream, ``_POSITIONS`` positions a refill, for
+``Generator.uniform``'s ``low + (high - low) * next_double``, next_double
+being ``(next >> 11) * 2**-53``.  A seed is read through its ``entropy``,
+``spawn_key`` and ``pool_size``, whether a :data:`Seed` or numpy's, so no run
+loads ``numpy.random``.  ``TestChildStates``, ``TestLanes`` and
+``TestStream`` in ``tests/test_maps.py`` pin the draws to numpy's, bit for bit.
 """
+
+from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
 _MASK = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier.
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Steps drawn per refill of a tile's buffer of angles.
+# Steps drawn per refill of a tile's buffer of angles, and positions per refill of uniform.
 _STEPS = 8
+_POSITIONS = 512
+Seed = namedtuple("Seed", "entropy spawn_key pool_size", defaults=((), 4))
 
 
 def _words(x) -> list[int]:
@@ -33,20 +43,21 @@ def _words(x) -> list[int]:
     return [w for v in x for w in _words(v)]
 
 
-def child_states(seq, a: int, b: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of children a..b-1 of ``seq``, one row each.
+def child_states(seq, a: int | None = None, b: int | None = None) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of children a..b-1 of ``seq``, one row each,
+    or with no ``a`` of ``seq`` itself.
 
     The children differ only in their last entropy word, so every lane takes
     the same path through the hash and meets the same hash constants.
     """
     pool_size = seq.pool_size
     run = _words(seq.entropy)
-    # a spawned sequence zero-pads its run entropy to the pool size; MAX_ENSEMBLE
-    # keeps every child index below 2**32, so the index is one word
+    # numpy zero-pads the run entropy to the pool size before a spawn key and hashes
+    # zeros in its place without one; MAX_ENSEMBLE keeps a child index one word
     run += [0] * (pool_size - len(run))
-    n = b - a
-    entropy = [np.full(n, w, np.uint32) for w in run + _words(seq.spawn_key)]
-    entropy.append(np.arange(a, b, dtype=np.uint32))
+    index = [] if a is None else [np.arange(a, b, dtype=np.uint32)]
+    n = 1 if a is None else b - a
+    entropy = [np.full(n, w, np.uint32) for w in run + _words(seq.spawn_key)] + index
 
     h = 0x43B0D7E5
 
@@ -84,7 +95,7 @@ def child_states(seq, a: int, b: int) -> np.ndarray:
 
 def _columns(values):
     """128-bit ints as a (high, low) pair of uint64 columns."""
-    return np.array([[[v >> 64], [v % 2**64]] for v in values], np.uint64).transpose(1, 0, 2)
+    return np.array([[v >> 64 for v in values], [v & (2**64 - 1) for v in values]], np.uint64)[..., None]
 
 
 def _lcg(c, x, d, work) -> None:
@@ -118,28 +129,24 @@ def _lcg(c, x, d, work) -> None:
     high += low < d0
 
 
-def angles(seq, a: int, b: int, n_steps: int):
-    """Yield ``2π * default_rng(child).random()`` of children a..b-1 of ``seq``, one row per step.
-
-    A row is a view of a buffer refilled every ``_STEPS`` steps, valid until the next is asked for.
-    """
-    k = _STEPS
-    work = np.empty((4, k, b - a), np.uint64)
+def _outputs(rows, k: int, n_steps: int):
+    """Yield ``next >> 11`` of the PCG64 seeded from each row of ``rows``, as int64 columns, in
+    blocks of up to ``k`` steps: views of one buffer, each valid until the next is asked for."""
+    work = np.empty((4, k, len(rows)), np.uint64)
     high, low, t, u = work
     # PCG64 reads (initstate, initseq) as the seed's word pairs, high word first,
     # and sets inc = 2 initseq + 1 and state = M (initstate + inc) + inc
-    seed = child_states(seq, a, b).T
+    seed = rows.T
     inc = (seed[2] << 1) | (seed[3] >> 63), (seed[3] << 1) | 1
     state = seed[:2]
     for c in (1, _MULT):
         _lcg(_columns([c]), state, inc, work[:, :1])
         state = work[:2, 0].copy()
     # j steps from s give M**j s + C_j inc, with C_j = 1 + M + ... + M**(j-1)
-    powers = [pow(_MULT, j, 2**128) for j in range(1, k + 1)]
-    sums = [(1 + sum(powers[:j])) % 2**128 for j in range(k)]
+    powers = list(accumulate([_MULT] * k, lambda m, c: m * c % 2**128))
+    sums = [c % 2**128 for c in accumulate([1] + powers[:-1])]
     _lcg(_columns(sums), inc, (0, 0), work)
     jump, step_inc = _columns(powers), work[:2].copy()
-    buf = np.empty((k, b - a))
     for t0 in range(0, n_steps, k):
         _lcg(jump, state, step_inc, work)
         state[:] = work[:2, -1]
@@ -152,7 +159,23 @@ def angles(seq, a: int, b: int, n_steps: int):
         np.left_shift(t, high, out=low)
         u |= low
         u >>= 11
+        yield u[:min(k, n_steps - t0)].view(np.int64)
+
+
+def angles(seq, a: int, b: int, n_steps: int):
+    """Yield ``2π * default_rng(child).random()`` of children a..b-1 of ``seq``, one row per step.
+
+    A row is a view of a buffer refilled every ``_STEPS`` steps, valid until the next is asked for.
+    """
+    buf = np.empty((_STEPS, b - a))
+    for block in _outputs(child_states(seq, a, b), _STEPS, n_steps):
         # Generator.random() is (next >> 11) * 2**-53; a power of two scales
         # 2π exactly, so one multiply rounds as the two would
-        np.multiply(u.view(np.int64), 2.0 * np.pi * 2.0**-53, out=buf)
-        yield from buf[:min(k, n_steps - t0)]
+        yield from np.multiply(block, 2.0 * np.pi * 2.0**-53, out=buf[:len(block)])
+
+
+def uniform(seq, n: int, *bounds) -> list:
+    """``[rng.uniform(low, high, n) for low, high in bounds]`` of ``rng = default_rng(seq)``."""
+    blocks = _outputs(child_states(seq), _POSITIONS, n * len(bounds))
+    doubles = np.concatenate([block[:, 0] * 2.0**-53 for block in blocks]).reshape(-1, n)
+    return [low + (high - low) * d for (low, high), d in zip(bounds, doubles)]

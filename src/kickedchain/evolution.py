@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import MAX_TRANSFORM_SITES, PROBABILITY_TOL, LimitError, check_propagation, check_rotor
+from ._streams import Seed, uniform
 from .chain import delta_state, dispersion, wavenumber_grid
 from .specs import ChainConfig, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick, check_chain_phases
 
@@ -72,8 +73,7 @@ def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray
     if isinstance(schedule, DoubleKick):
         return [_parabola(schedule.b_weak, n, center), _parabola(schedule.b_strong, n, center)]
     if isinstance(schedule, RandomDoubleKick):
-        rng = np.random.default_rng(schedule.seed)
-        frozen = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+        frozen = np.exp(-1j * uniform(Seed(schedule.seed), n, (0.0, 2.0 * np.pi))[0])
         return [_parabola(schedule.b_weak, n, center), frozen]
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 

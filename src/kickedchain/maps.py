@@ -123,6 +123,10 @@ def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed, record_every=None):
         raise ValueError("initial conditions must be finite")
     if isinstance(spec, RandomRescaledDoubleKickMap) and seed is None:
         raise ValueError("random map variant requires a seed")
+    if seed is not None and not hasattr(seed, "spawn_key"):
+        check_integers(seed=seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     return x, p
 
 
@@ -155,7 +159,7 @@ def _advance(x, p, spec: MapSpec, n_steps: int, seed, emit) -> None:
     """
     seq = None
     if isinstance(spec, RandomRescaledDoubleKickMap):
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seq = seed if hasattr(seed, "spawn_key") else _streams.Seed(int(seed))
 
     def run(tile):
         # errstate is per thread, so each tile enters its own

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import warnings as _warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -151,6 +152,14 @@ def _seed(value):
     if not 0 <= seed < 2**64:
         raise ConfigError("config.seed: must be an unsigned 64-bit integer")
     return seed
+
+
+def _output(value):
+    """The run's output prefix; pathlib would drop a last component of '', '.' or '..'."""
+    prefix = _string({"output": value}, "config", "output")
+    if os.path.basename(prefix) in ("", ".", ".."):
+        raise ConfigError("config.output: its last path component must not be empty, '.' or '..'")
+    return prefix
 
 
 def _string(obj, path, key, choices=None):
@@ -302,7 +311,7 @@ def validate_config(raw: dict) -> dict:
     out = {
         "scenario": scenario,
         "seed": _seed(raw["seed"]),
-        "output": _string(raw, "config", "output"),
+        "output": _output(raw["output"]),
     }
     entry.validate(raw, out)
     return out
@@ -333,16 +342,18 @@ def read_config(path) -> dict:
 def _classical_initials(initial_cfg: dict, seed):
     import numpy as np
 
+    from ._streams import uniform
+
     if "points" in initial_cfg:
         pts = np.asarray(initial_cfg["points"], dtype=float)
         return pts[:, 0].copy(), pts[:, 1].copy()
     sub = initial_cfg["uniform_x"]
-    n = sub["n_trajectories"]
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    n, jitter = sub["n_trajectories"], sub["p_jitter"]
+    # the p jitter continues the stream after the angles
+    x0, *drawn = uniform(seed, n, (0.0, 2.0 * np.pi), *[(-jitter, jitter)] * (jitter > 0))
     p0 = np.full(n, float(sub["p0"]))
-    if sub["p_jitter"] > 0:
-        p0 = p0 + rng.uniform(-sub["p_jitter"], sub["p_jitter"], size=n)
+    if drawn:
+        p0 = p0 + drawn[0]
     return x0, p0
 
 
@@ -441,15 +452,13 @@ def _run_qkr(cfg):
 
 
 def _run_classical(cfg):
-    import numpy as np
+    from ._streams import Seed
 
     _bind_engine()
     fields = dict(cfg["map"])
     spec = _MAPS[fields.pop("variant")](**fields)
-    init_ss = run_ss = None
-    # only a run that draws loads numpy.random
-    if "uniform_x" in cfg["initial"] or isinstance(spec, RandomRescaledDoubleKickMap):
-        init_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    # the two children SeedSequence(seed).spawn(2) hands out
+    init_ss, run_ss = (Seed(cfg["seed"], (i,)) for i in range(2))
     x0, p0 = _classical_initials(cfg["initial"], init_ss)
     if "record_every" not in cfg:
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
@@ -522,7 +531,7 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     if seed is not None:
         cfg["seed"] = _seed(seed)
     if out_prefix is not None:
-        cfg["output"] = _string({"output": out_prefix}, "config", "output")
+        cfg["output"] = _output(out_prefix)
 
     report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
     prefix = Path(cfg["output"])

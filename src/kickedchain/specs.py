@@ -115,7 +115,8 @@ class RandomDoubleKick:
 
     def __post_init__(self):
         _check_schedule(self.period, b_weak=self.b_weak)
-        if not 0 <= int(self.seed) < 2**64:
+        check_integers(seed=self.seed)
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 

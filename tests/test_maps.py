@@ -16,6 +16,7 @@ import kickedchain.maps as maps_module
 from kickedchain import (
     DoubleKickMap,
     DoubleWellMap,
+    RandomDoubleKick,
     RandomRescaledDoubleKickMap,
     RescaledDoubleKickMap,
     StandardMap,
@@ -434,6 +435,110 @@ class TestLanes:
         monkeypatch.setattr(_streams, "_STEPS", steps)
         for i in (0, maps_module.MAX_ENSEMBLE - 3):
             self._check(TestChildStates.SEEDS["spawned"], i, 3, 37)
+
+
+class TestStream:
+    """The one-stream draws behind the uniform_x initial conditions and the frozen field."""
+
+    SEEDS = {
+        "0": _streams.Seed(0),
+        "2**64-1": _streams.Seed(2**64 - 1),
+        "2**100+3": _streams.Seed(2**100 + 3),
+        "pool_size-8": _streams.Seed(12, pool_size=8),
+        # what _run_classical passes: child 0 of the run's seed
+        "spawned-0": _streams.Seed(0, (0,)),
+        "spawned-2**64-1": _streams.Seed(2**64 - 1, (0,)),
+        "spawned-2**100+3": _streams.Seed(2**100 + 3, (1,)),
+        "spawned-pool_size-8": _streams.Seed(12, (0,), 8),
+    }
+    SIZES = [1, _streams._POSITIONS - 1, _streams._POSITIONS, _streams._POSITIONS + 1, 20000]
+
+    @staticmethod
+    def _rng(seed):
+        return np.random.default_rng(
+            np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+        )
+
+    @pytest.mark.parametrize("name", SEEDS)
+    def test_state_equals_numpy(self, name):
+        seed = self.SEEDS[name]
+        seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+        np.testing.assert_array_equal(_streams.child_states(seed), [seq.generate_state(4, np.uint64)])
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", SEEDS)
+    def test_uniform_equals_numpy(self, name, n):
+        seed = self.SEEDS[name]
+        (drawn,) = _streams.uniform(seed, n, (0.0, 2 * np.pi))
+        np.testing.assert_array_equal(drawn, self._rng(seed).uniform(0.0, 2 * np.pi, n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", ["0", "spawned-2**64-1", "spawned-pool_size-8"])
+    def test_later_draws_continue_the_stream(self, name, n):
+        # the uniform_x angles, then the p_jitter draws, then one more
+        seed = self.SEEDS[name]
+        bounds = [(0.0, 2 * np.pi), (-1.5, 1.5), (-0.7, 3.1)]
+        rng = self._rng(seed)
+        for drawn, (low, high) in zip(_streams.uniform(seed, n, *bounds), bounds, strict=True):
+            np.testing.assert_array_equal(drawn, rng.uniform(low, high, n))
+
+    @pytest.mark.parametrize("positions", [1, 3, 16])
+    def test_other_refill_sizes(self, positions, monkeypatch):
+        monkeypatch.setattr(_streams, "_POSITIONS", positions)
+        seed = self.SEEDS["spawned-2**100+3"]
+        rng = self._rng(seed)
+        for drawn in _streams.uniform(seed, 37, (-1.5, 1.5), (-1.5, 1.5)):
+            np.testing.assert_array_equal(drawn, rng.uniform(-1.5, 1.5, 37))
+
+    def test_numpy_seed_sequence_reads_alike(self):
+        seq = np.random.SeedSequence(2**64 - 1).spawn(2)[0]
+        expected = _streams.uniform(self.SEEDS["spawned-2**64-1"], 600, (0.0, 1.0))
+        np.testing.assert_array_equal(_streams.uniform(seq, 600, (0.0, 1.0)), expected)
+
+    @pytest.mark.parametrize("p_jitter", [0.0, 1.5])
+    def test_classical_initials_equal_numpy(self, p_jitter):
+        from kickedchain.scenario import _classical_initials
+
+        n = 20000
+        initial = {"uniform_x": {"n_trajectories": n, "p0": 0.5, "p_jitter": p_jitter}}
+        x0, p0 = _classical_initials(initial, _streams.Seed(2014, (0,)))
+        rng = np.random.default_rng(np.random.SeedSequence(2014).spawn(2)[0])
+        np.testing.assert_array_equal(x0, rng.uniform(0.0, 2.0 * np.pi, size=n))
+        expected = np.full(n, 0.5)
+        if p_jitter:
+            expected = expected + rng.uniform(-p_jitter, p_jitter, size=n)
+        np.testing.assert_array_equal(p0, expected)
+
+    def test_frozen_field_equals_numpy(self):
+        from kickedchain.evolution import _kick_phases
+
+        n = _streams._POSITIONS + 1
+        frozen = _kick_phases(RandomDoubleKick(b_weak=0.05, period=3.0, seed=2**64 - 1), n, n // 2)[1]
+        angles = np.random.default_rng(2**64 - 1).uniform(0.0, 2.0 * np.pi, size=n)
+        np.testing.assert_array_equal(frozen, np.exp(-1j * angles))
+
+
+SEED_ENTRY_POINTS = {
+    "RandomDoubleKick": lambda seed: RandomDoubleKick(b_weak=0.1, period=1.0, seed=seed),
+    "iterate_ensemble": lambda seed: iterate_ensemble(
+        [0.0], [0.0], RandomRescaledDoubleKickMap(k_eps=0.35), 1, seed=seed
+    ),
+    "surface_of_section": lambda seed: surface_of_section(
+        [0.0], [0.0], RandomRescaledDoubleKickMap(k_eps=0.35), 1, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(1.5, TypeError), (True, TypeError), ("3", TypeError), (-1, ValueError)],
+    ids=["1.5", "True", "str-3", "-1"],
+)
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_seed_must_be_a_non_negative_integer(entry, seed, error):
+    # the streams hash a seed's words, so a seed that is not one is refused before any work
+    with pytest.raises(error, match="seed"):
+        SEED_ENTRY_POINTS[entry](seed)
 
 
 class TestEnsembleCap:

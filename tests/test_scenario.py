@@ -42,6 +42,7 @@ from kickedchain.scenario import (
     run_scenario,
     validate_config,
 )
+from test_outputs import RANDOM_MAP
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -428,6 +429,11 @@ class TestRunScenario:
             pytest.param({"seed": True}, "config.seed: expected an integer", id="True"),
             pytest.param({"seed": 1.5}, "config.seed: expected an integer", id="1.5"),
             pytest.param({"out_prefix": 5}, "config.output: expected a string", id="out_prefix-5"),
+            pytest.param(
+                {"out_prefix": "results/"},
+                "config.output: its last path component must not be empty, '.' or '..'",
+                id="out_prefix-results/",
+            ),
         ],
     )
     def test_seed_override_must_fit_u64(self, tmp_path, overrides, message):
@@ -834,6 +840,25 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("output", ["results/", "", "d/.", "..", "d/.."])
+    def test_output_without_file_name_exits_2(self, tmp_path, capsys, monkeypatch, output):
+        # pathlib drops a trailing '/' or '.': "results/" wrote ./results_report.json,
+        # "" ./_report.json and "d/." ./d_report.json, all outside the directory named
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        cfg = shape_config(tmp_path, "feasibility")
+        Path("good.json").write_text(json.dumps(cfg))
+        Path("bad.json").write_text(json.dumps({**cfg, "output": output}))
+        message = "config error: config.output: its last path component must not be empty, '.' or '..'\n"
+        for argv in (
+            ["validate", "--config", "bad.json"],
+            ["run", "--config", "bad.json"],
+            ["run", "--config", "good.json", "--out", output],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["bad.json", "d", "good.json"]
+
     @pytest.mark.parametrize(
         "scenario, leaves",
         [
@@ -1144,10 +1169,10 @@ class TestCli:
 
     def test_cli_import_skips_scipy_optimize(self, tmp_path):
         # importing the CLI, validating, a classical run, the fixed points and
-        # a chain or rotor propagation load no scipy module at all;
-        # numpy.random is loaded only by a run that draws, never by importing
-        # the CLI, validating, a points section of a deterministic map or a
-        # single-kick or rotor propagation
+        # a chain or rotor propagation load no scipy module at all; no step
+        # loads numpy.random, not even a run that draws (the frozen field of
+        # double_kick_random, uniform_x initials with a p jitter, the random
+        # map's angles), as every draw runs on kickedchain._streams
         section = tmp_path / "sos.json"
         section.write_text(json.dumps({
             "scenario": "surface_of_section",
@@ -1162,6 +1187,19 @@ class TestCli:
         rotor = tmp_path / "qkr.json"
         rotor.write_text(json.dumps(shape_config(tmp_path, "qkr")))
         valid = CONFIG_DIR / "trapping_center.json"
+        jittered = tmp_path / "jittered.json"
+        jittered.write_text(json.dumps({
+            "scenario": "classical_map",
+            "seed": 4,
+            "output": str(tmp_path / "jittered"),
+            "map": {"variant": "rescaled_double_kick_random", "k_eps": 0.35},
+            "initial": {"uniform_x": {"n_trajectories": 600, "p0": 0.5, "p_jitter": 1.5}},
+            "n_steps": 20,
+            "record_every": 5,
+        }))
+        random_map = tmp_path / "random_map.json"
+        random_map.write_text(json.dumps({**RANDOM_MAP, "output": str(tmp_path / "random_map")}))
+        trapping = f"['run', '--config', {str(valid)!r}, '--out', {str(tmp_path / 'trap')!r}]"
         steps = [
             "import kickedchain.cli",
             f"from kickedchain.cli import main; assert main(['validate', '--config', {str(valid)!r}]) == 0",
@@ -1170,6 +1208,9 @@ class TestCli:
             "fixed_point_stability(DoubleWellMap(0.35, 0.35))",
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(chain)!r}]) == 0",
             f"from kickedchain.cli import main; assert main(['run', '--config', {str(rotor)!r}]) == 0",
+            f"from kickedchain.cli import main; assert main({trapping}) == 0",
+            f"from kickedchain.cli import main; assert main(['run', '--config', {str(jittered)!r}]) == 0",
+            f"from kickedchain.cli import main; assert main(['run', '--config', {str(random_map)!r}]) == 0",
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
         for step in steps:
