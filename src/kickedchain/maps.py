@@ -111,7 +111,8 @@ class EnsembleStats:
 
 
 def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed, record_every=None):
-    """Validated float copies of the initial conditions, checked with the caps before any work."""
+    """Validated float copies of the initial conditions, checked with the caps before any work,
+    and the seed as a SeedSequence or its :data:`_streams.Seed` record."""
     x = np.array(x0, dtype=float).ravel()
     p = np.array(p0, dtype=float).ravel()
     if x.size == 0:
@@ -127,7 +128,8 @@ def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed, record_every=None):
         check_integers(seed=seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-    return x, p
+        seed = _streams.Seed(int(seed))
+    return x, p, seed
 
 
 def _usable_cpus() -> int:
@@ -157,9 +159,7 @@ def _advance(x, p, spec: MapSpec, n_steps: int, seed, emit) -> None:
     so results do not depend on the number of threads.  Trajectory i of the
     random variant draws its angles from child i of ``seed``.
     """
-    seq = None
-    if isinstance(spec, RandomRescaledDoubleKickMap):
-        seq = seed if hasattr(seed, "spawn_key") else _streams.Seed(int(seed))
+    seq = seed if isinstance(spec, RandomRescaledDoubleKickMap) else None
 
     def run(tile):
         # errstate is per thread, so each tile enters its own
@@ -202,7 +202,7 @@ def iterate_ensemble(
     ``ValueError`` if any trajectory overflows to a non-finite value.
     """
     check_integers(n_steps=n_steps, record_every=record_every)
-    x, p = _ensemble(x0, p0, spec, n_steps, seed, record_every)
+    x, p, seed = _ensemble(x0, p0, spec, n_steps, seed, record_every)
     steps = list(range(0, n_steps + 1, record_every))
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -238,7 +238,7 @@ def surface_of_section(
     variant's streams are those of :func:`iterate_ensemble`.
     """
     check_integers(n_steps=n_steps)
-    x, p = _ensemble(x0, p0, spec, n_steps, seed)
+    x, p, seed = _ensemble(x0, p0, spec, n_steps, seed)
     out = np.empty((x.size, n_steps, 2))
 
     def record(t, a, b, x, p):

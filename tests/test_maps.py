@@ -720,10 +720,11 @@ class TestEngine:
         "seed",
         [
             9,
+            np.uint64(9),
             np.random.SeedSequence(5).spawn(2)[1],
             np.random.SeedSequence([3, 2**40], pool_size=8),
         ],
-        ids=["int", "spawned", "pool_size-8"],
+        ids=["int", "numpy-int", "spawned", "pool_size-8"],
     )
     def test_tiled_streams_equal_seed_sequence_children(self, seed, monkeypatch):
         # reference: trajectory i drawn from numpy's own child i of the seed,
