@@ -349,8 +349,9 @@ def _classical_initials(initial_cfg: dict, seed):
         return pts[:, 0].copy(), pts[:, 1].copy()
     sub = initial_cfg["uniform_x"]
     n, jitter = sub["n_trajectories"], sub["p_jitter"]
-    # the p jitter continues the stream after the angles
-    x0, *drawn = uniform(seed, n, (0.0, 2.0 * np.pi), *[(-jitter, jitter)] * (jitter > 0))
+    # the p jitter, if any, continues the stream after the angles
+    bounds = [(0.0, 2.0 * np.pi)] + ([(-jitter, jitter)] if jitter > 0 else [])
+    x0, *drawn = uniform(seed, n, *bounds)
     p0 = np.full(n, float(sub["p0"]))
     if drawn:
         p0 = p0 + drawn[0]
