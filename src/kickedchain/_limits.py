@@ -75,6 +75,21 @@ def check_integers(**values) -> None:
             raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
+def check_reals(lower=None, strict=False, **values) -> None:
+    """Raise ``ValueError`` unless each value is finite and, given ``lower``, >= it (> if ``strict``).
+
+    A value is read with ``to_float``, so an integer beyond the float range is
+    not finite; a string, which ``float`` would parse, is a ``TypeError``.
+    """
+    for name, value in values.items():
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+        x = to_float(value)
+        if not math.isfinite(x) or lower is not None and (x <= lower if strict else x < lower):
+            bound = "" if lower is None else f" and {'>' if strict else '>='} {lower}"
+            raise ValueError(f"{name} must be finite{bound}, got {x}")
+
+
 def check_phases(**phases: float) -> None:
     """Refuse a run before any phase array is built if a largest phase is out of range.
 
@@ -110,10 +125,8 @@ def check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every) -
     check_integers(initial_momentum=initial_momentum, n_basis=n_basis)
     if n_basis < 2:
         raise ValueError("n_basis must be >= 2")
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
+    check_reals(k=k)
+    check_reals(0, True, hbar=hbar)
     check_propagation(n_basis, n_periods, snapshot_every)
     lo = initial_momentum - n_basis // 2
     l_max = to_float(max(abs(lo), abs(lo + n_basis - 1)))

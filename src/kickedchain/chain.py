@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import check_basis, check_integers
+from ._limits import check_basis, check_integers, check_reals
 from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
@@ -118,8 +118,8 @@ def rotor_image(config: ChainConfig, period: float, b_kick: float) -> RotorImage
     """
     if config.model is not ChainModel.FERROMAGNET:
         raise ValueError(f"rotor image is defined for the ferromagnet, not {config.model.value}")
-    if not period > 0:  # also rejects NaN
-        raise ValueError("period must be > 0")
-    if not b_kick >= 0:
-        raise ValueError("b_kick must be >= 0")
-    return RotorImageParams(k=config.j1 * period * b_kick, hbar_eff=b_kick)
+    check_reals(0, True, period=period)
+    check_reals(0, b_kick=b_kick)
+    k = config.j1 * period * b_kick
+    check_reals(k=k)
+    return RotorImageParams(k=k, hbar_eff=b_kick)

@@ -8,14 +8,13 @@ for double-kick schedules.  All site arithmetic is cyclic (ring topology).
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import PROBABILITY_TOL, check_integers
+from ._limits import PROBABILITY_TOL, check_integers, check_reals
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -64,11 +63,6 @@ def _check_probability(p) -> np.ndarray:
     if not p.min() >= 0:
         raise ValueError(f"probabilities must be >= 0, got {float(p.min())!r}")
     return p
-
-
-def _check_strength(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def distribution_stats(p, s0: int) -> tuple[float, float]:
@@ -196,7 +190,7 @@ def detect_accelerator_modes(
     +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
     just leaves the track empty.
     """
-    _check_strength("b_kick", b_kick)
+    check_reals(0, True, b_kick=b_kick)
     if len(record.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track spikes")
 
@@ -230,7 +224,7 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
     gradient reaches +-pi.  A cell wider than the chain returns 1 with a
     warning.
     """
-    _check_strength("b_weak", b_weak)
+    check_reals(0, True, b_weak=b_weak)
     p = _check_probability(p)
     n = len(p)
     d = cyclic_displacements(n, center)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from ._limits import LimitError, check_integers
+from ._limits import LimitError, check_integers, check_reals
 
 __all__ = ["FeasibilityReport", "feasibility", "AU_TIME_SECONDS", "FIELD_TESLA_PER_AU"]
 
@@ -91,17 +91,10 @@ def feasibility(
     error; inputs whose estimate overflows raise ``LimitError``.
     """
     check_integers(n_sites=n_sites)
-    for name, value in (("b_range_au", b_range_au), ("j_hz", j_hz), ("t0_seconds", t0_seconds)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if b_range_au < 0:
-        raise ValueError("b_range_au must be >= 0")
+    check_reals(0, b_range_au=b_range_au)
     if not 0 < n_sites <= _MAX_SITES:
         raise ValueError(f"n_sites must be > 0 and <= {_MAX_SITES}")
-    if j_hz <= 0:
-        raise ValueError("j_hz must be > 0")
-    if t0_seconds <= 0:
-        raise ValueError("t0_seconds must be > 0")
+    check_reals(0, True, j_hz=j_hz, t0_seconds=t0_seconds)
 
     b_kick = 2.0 * b_range_au / n_sites**2
     j_au = j_hz * AU_TIME_SECONDS

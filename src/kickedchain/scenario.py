@@ -14,6 +14,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import warnings as _warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -57,24 +58,22 @@ _MAPS = {
 
 # The runners' callees from the numeric modules.  Those load numpy, which
 # validation never needs, so the callees are bound to this module on first
-# use, not at import.  The runners look them up here, where a caller may also
-# replace one (the tracer in perfbench/spans.py wraps several).
-_ENGINE = {
-    **dict.fromkeys(("delta_state", "magnon_state"), "chain"),
-    **dict.fromkeys(("evolve", "qkr_evolve"), "evolution"),
-    **dict.fromkeys(("iterate_ensemble", "surface_of_section"), "maps"),
-    **dict.fromkeys(
-        ("cell_occupancy", "detect_accelerator_modes", "distribution_stats", "fit_localization_length"),
-        "diagnostics",
-    ),
-}
+# use, not at import, through the package's own lazy names.  The runners look
+# them up here, where a caller may also replace one (the tracer in
+# perfbench/spans.py wraps several).
+_ENGINE = (
+    "delta_state", "magnon_state", "evolve", "qkr_evolve", "iterate_ensemble",
+    "surface_of_section", "cell_occupancy", "detect_accelerator_modes",
+    "distribution_stats", "fit_localization_length",
+)
 
 
 def _bind_engine() -> None:
     """Bind every engine callee that is not bound yet; a runner that uses one calls this."""
-    for name, module in _ENGINE.items():
+    package = importlib.import_module(__package__)
+    for name in _ENGINE:
         if name not in globals():
-            globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+            globals()[name] = getattr(package, name)
 
 
 def __getattr__(name):
@@ -155,8 +154,11 @@ def _seed(value):
 
 
 def _output(value):
-    """The run's output prefix; pathlib would drop a last component of '', '.' or '..'."""
+    """The run's output prefix; pathlib would drop a last component of '', '.' or '..',
+    and no file name holds a NUL byte."""
     prefix = _string({"output": value}, "config", "output")
+    if "\0" in prefix:
+        raise ConfigError("config.output: must not contain a NUL byte")
     if os.path.basename(prefix) in ("", ".", ".."):
         raise ConfigError("config.output: its last path component must not be empty, '.' or '..'")
     return prefix
@@ -362,8 +364,16 @@ def _write_report(path: Path, config: dict, report: dict) -> None:
     doc = {"config": config, "report": report, "seed": config["seed"], "version": __version__}
     # encoded first, so a non-finite value leaves no partial report and no new directory
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    new_dirs = [d for d in path.parents if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+    try:
+        path.write_text(text + "\n")
+    except OSError:
+        # a failed write leaves no new directory: the outermost one made here
+        # goes, with what the write left in it
+        if new_dirs:
+            shutil.rmtree(new_dirs[-1], ignore_errors=True)
+        raise
 
 
 def _propagation_report(cfg, record, s0) -> dict:
@@ -426,6 +436,12 @@ def _rotor(cfg, record, s0) -> dict:
     return {"initial_momentum": cfg["rotor"]["initial_momentum"]}
 
 
+def _dist_table(labels, record):
+    """The CSV table of a propagation: one block of probabilities per snapshot."""
+    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
+    return ("_dist.csv", "period,site,probability", labels, blocks)
+
+
 def _run_chain(cfg):
     _bind_engine()
     chain, schedule = ChainConfig(**cfg["chain"]), _schedule(cfg)
@@ -436,9 +452,7 @@ def _run_chain(cfg):
         s0 = chain.kick_center
         state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
     record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
-    report = _propagation_report(cfg, record, s0)
-    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
-    return report, ("_dist.csv", "period,site,probability", range(chain.n_sites), blocks)
+    return _propagation_report(cfg, record, s0), _dist_table(range(chain.n_sites), record)
 
 
 def _run_qkr(cfg):
@@ -446,10 +460,8 @@ def _run_qkr(cfg):
     rotor = cfg["rotor"]
     record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
     lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
-    labels = range(lo, lo + rotor["n_basis"])
     report = _propagation_report(cfg, record, rotor["n_basis"] // 2)
-    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
-    return report, ("_dist.csv", "period,site,probability", labels, blocks)
+    return report, _dist_table(range(lo, lo + rotor["n_basis"]), record)
 
 
 def _run_classical(cfg):

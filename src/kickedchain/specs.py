@@ -8,11 +8,10 @@ and run them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from ._limits import check_integers, check_phases
+from ._limits import check_integers, check_phases, check_reals
 
 
 class ChainModel(str, Enum):
@@ -48,8 +47,7 @@ class ChainConfig:
             raise ValueError(
                 f"kick_center must lie in [0, {self.n_sites}), got {self.kick_center}"
             )
-        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
-            raise ValueError(f"j1 and j2 must be finite, got {self.j1}, {self.j2}")
+        check_reals(j1=self.j1, j2=self.j2)
         model = ChainModel(self.model)
         object.__setattr__(self, "model", model)
         if model is ChainModel.FERROMAGNET:
@@ -70,19 +68,26 @@ def _m_range(n_sites: int) -> tuple[int, int]:
     return -((n_sites - 1) // 2), n_sites // 2
 
 
+class _Schedule:
+    """A kick schedule's checks: each strength and the period are finite and >= 0.
+
+    Period 0 is allowed as the degenerate do-nothing schedule.
+    """
+
+    def __post_init__(self):
+        check_reals(0, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"})
+
+
 @dataclass(frozen=True)
-class SingleKick:
+class SingleKick(_Schedule):
     """One parabolic kick of curvature ``b_kick`` per period."""
 
     b_kick: float
     period: float
 
-    def __post_init__(self):
-        _check_schedule(self.period, b_kick=self.b_kick)
-
 
 @dataclass(frozen=True)
-class DoubleKick:
+class DoubleKick(_Schedule):
     """Alternating weak/strong parabolic kicks, one pair per period.
 
     The intended regime is b_strong/b_weak >> 1, mirroring the long drift
@@ -93,12 +98,9 @@ class DoubleKick:
     b_strong: float
     period: float
 
-    def __post_init__(self):
-        _check_schedule(self.period, b_weak=self.b_weak, b_strong=self.b_strong)
-
 
 @dataclass(frozen=True)
-class RandomDoubleKick:
+class RandomDoubleKick(_Schedule):
     """Double kick with the strong parabola replaced by a static random field.
 
     The strong kick's site phases are drawn once from ``seed``, i.i.d. uniform
@@ -114,20 +116,13 @@ class RandomDoubleKick:
     seed: int
 
     def __post_init__(self):
-        _check_schedule(self.period, b_weak=self.b_weak)
+        super().__post_init__()
         check_integers(seed=self.seed)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 KickSchedule = SingleKick | DoubleKick | RandomDoubleKick
-
-
-def _check_schedule(period, **strengths):
-    # period 0 is allowed as the degenerate do-nothing schedule
-    for name, value in {"period": period, **strengths}.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
@@ -145,29 +140,23 @@ def check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
 _MAP_DRIFTS = ("eps", "tau", "tau_eps")
 
 
-def _check_map(spec):
-    """Refuse a map spec with a non-finite field, or a drift that is not > 0."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.name in _MAP_DRIFTS:
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be > 0 and finite, got {value}")
-        elif not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+class _Map:
+    """A map spec's checks: each field is finite, and each drift is > 0."""
+
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        check_reals(**{name: v for name, v in values.items() if name not in _MAP_DRIFTS})
+        check_reals(0, True, **{name: v for name, v in values.items() if name in _MAP_DRIFTS})
 
 
 @dataclass(frozen=True)
-class StandardMap:
+class StandardMap(_Map):
     """p' = p - k*sin(x); x' = x + p'."""
 
     k: float
 
-    def __post_init__(self):
-        _check_map(self)
-
-
 @dataclass(frozen=True)
-class DoubleKickMap:
+class DoubleKickMap(_Map):
     """Kick pairs separated by a short drift eps inside the pair, tau between pairs.
 
     One step is the full pair: kick, drift eps, kick, drift tau.
@@ -177,12 +166,8 @@ class DoubleKickMap:
     eps: float
     tau: float
 
-    def __post_init__(self):
-        _check_map(self)
-
-
 @dataclass(frozen=True)
-class RescaledDoubleKickMap:
+class RescaledDoubleKickMap(_Map):
     """Double-kick pair in rescaled variables where cells have width 2*pi.
 
     Momentum and kick strength are rescaled by the intra-pair drift, leaving
@@ -192,22 +177,14 @@ class RescaledDoubleKickMap:
     k_eps: float
     tau_eps: float
 
-    def __post_init__(self):
-        _check_map(self)
-
-
 @dataclass(frozen=True)
-class RandomRescaledDoubleKickMap:
+class RandomRescaledDoubleKickMap(_Map):
     """Rescaled double-kick pair whose entry angle is redrawn uniformly each pair."""
 
     k_eps: float
 
-    def __post_init__(self):
-        _check_map(self)
-
-
 @dataclass(frozen=True)
-class DoubleWellMap:
+class DoubleWellMap(_Map):
     """Kicked map with a two-harmonic potential -k1*cos(x) - k2*cos(2x).
 
     p' = p - k1*sin(x) - 2*k2*sin(2x); x' = x + p'.  The factor 2 on k2 is
@@ -216,10 +193,6 @@ class DoubleWellMap:
 
     k1: float
     k2: float
-
-    def __post_init__(self):
-        _check_map(self)
-
 
 MapSpec = (
     StandardMap

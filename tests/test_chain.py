@@ -1,5 +1,7 @@
 """Basis, dispersion, and rotor-image parameter tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,17 @@ import kickedchain._limits as limits
 from kickedchain import (
     ChainConfig,
     ChainModel,
+    DoubleKick,
+    RandomDoubleKick,
     SingleKick,
+    cell_occupancy,
     delta_state,
+    detect_accelerator_modes,
     dispersion,
     evolve,
+    feasibility,
     magnon_state,
+    qkr_evolve,
     rotor_image,
     wavenumber_grid,
 )
@@ -204,10 +212,20 @@ class TestRotorImage:
         scaled = rotor_image(cfg, period=c * t0, b_kick=b).k
         assert scaled == pytest.approx(c * base, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [dict(period=float("nan"), b_kick=0.1),
-                                        dict(period=1.0, b_kick=float("nan"))])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(period=float("nan"), b_kick=0.1),
+            dict(period=1.0, b_kick=float("nan")),
+            dict(period=float("inf"), b_kick=0.1),
+            dict(period=1.0, b_kick=float("inf")),
+            # each finite, but k = j1 * period * b_kick is not
+            dict(period=1e308, b_kick=1e308),
+        ],
+    )
     def test_rejects_nan(self, kwargs):
-        with pytest.raises(ValueError):
+        name = next((key for key, v in kwargs.items() if not math.isfinite(v)), "k")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             rotor_image(ChainConfig(n_sites=8, j1=1.0), **kwargs)
 
     def test_rejects_non_ferromagnet(self):
@@ -266,3 +284,44 @@ class TestChainConfigValidation:
     def test_rejects_non_finite_couplings(self, kwargs):
         with pytest.raises(ValueError):
             ChainConfig(**kwargs)
+
+
+def _record():
+    return evolve(delta_state(8, 4), ChainConfig(8, 1.0), SingleKick(0.1, 1.0), 3)
+
+
+# Each used to raise OverflowError from math.isfinite.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ChainConfig(8, j1=HUGE), "j1"),
+        (lambda: SingleKick(b_kick=HUGE, period=1.0), "b_kick"),
+        (lambda: DoubleKick(b_weak=0.1, b_strong=HUGE, period=1.0), "b_strong"),
+        (lambda: RandomDoubleKick(b_weak=0.1, period=HUGE, seed=0), "period"),
+        (lambda: qkr_evolve(0, HUGE, 1.0, 1, 4), "k"),
+        (lambda: qkr_evolve(0, 1.0, HUGE, 1, 4), "hbar"),
+        (lambda: detect_accelerator_modes(_record(), HUGE, 4), "b_kick"),
+        (lambda: cell_occupancy([0.25] * 4, HUGE, 2), "b_weak"),
+        (lambda: feasibility(1e-6, 100, HUGE), "j_hz"),
+    ],
+    ids=[
+        "ChainConfig-j1", "SingleKick-b_kick", "DoubleKick-b_strong", "RandomDoubleKick-period",
+        "qkr_evolve-k", "qkr_evolve-hbar", "detect_accelerator_modes-b_kick",
+        "cell_occupancy-b_weak", "feasibility-j_hz",
+    ],
+)
+def test_int_beyond_float_range_is_not_finite(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: ChainConfig(8, j1="1.0"), lambda: SingleKick(b_kick="0.1", period=1.0)]
+)
+def test_string_real_is_a_type_error(call):
+    # float() would parse the string; math.isfinite, the old check, refused it
+    with pytest.raises(TypeError, match="must be a real number, got str"):
+        call()

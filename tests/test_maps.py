@@ -610,10 +610,12 @@ class TestMapValidation:
         ],
     )
     def test_rejects_nan_drifts(self, ctor):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0, got nan"):
             ctor()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
     @pytest.mark.parametrize(
         "cls, fields",
         [
@@ -627,9 +629,11 @@ class TestMapValidation:
     )
     def test_rejects_non_finite_coefficients(self, cls, fields, bad):
         # DoubleWellMap(nan, 1.0) used to give fixed points with trace nan,
-        # StandardMap(inf) traces of +-inf, and eps = inf passed the eps > 0 check
+        # StandardMap(inf) traces of +-inf, and eps = inf passed the eps > 0 check;
+        # an int beyond the float range reads as inf, not as an OverflowError
         for name in fields:
-            with pytest.raises(ValueError, match=rf"^{name} must be (> 0 and )?finite, got {bad}$"):
+            shown = limits.to_float(bad)
+            with pytest.raises(ValueError, match=rf"^{name} must be finite( and > 0)?, got {shown}$"):
                 cls(**{**fields, name: bad})
 
 

@@ -253,11 +253,11 @@ class TestValidation:
         [
             ("schedule", SingleKick, "period", 0.0, "config.schedule.period: must be > 0.0"),
             ("schedule", DoubleKick, "period", 0, "config.schedule.period: must be > 0.0"),
-            ("map", DoubleKickMap, "eps", 0.0, "config.map: eps must be > 0 and finite, got 0.0"),
-            ("map", DoubleKickMap, "tau", 0, "config.map: tau must be > 0 and finite, got 0.0"),
+            ("map", DoubleKickMap, "eps", 0.0, "config.map: eps must be finite and > 0, got 0.0"),
+            ("map", DoubleKickMap, "tau", 0, "config.map: tau must be finite and > 0, got 0.0"),
             (
                 "map", RescaledDoubleKickMap, "tau_eps", 0.0,
-                "config.map: tau_eps must be > 0 and finite, got 0.0",
+                "config.map: tau_eps must be finite and > 0, got 0.0",
             ),
             (
                 "schedule", DoubleKick, "b_weak", -0.1,
@@ -840,16 +840,20 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    @pytest.mark.parametrize("output", ["results/", "", "d/.", "..", "d/.."])
+    @pytest.mark.parametrize("output", ["results/", "", "d/.", "..", "d/..", "x/a\0b"])
     def test_output_without_file_name_exits_2(self, tmp_path, capsys, monkeypatch, output):
         # pathlib drops a trailing '/' or '.': "results/" wrote ./results_report.json,
-        # "" ./_report.json and "d/." ./d_report.json, all outside the directory named
+        # "" ./_report.json and "d/." ./d_report.json, all outside the directory named;
+        # a NUL byte passed validate, and run made x/ before its write failed
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         cfg = shape_config(tmp_path, "feasibility")
         Path("good.json").write_text(json.dumps(cfg))
         Path("bad.json").write_text(json.dumps({**cfg, "output": output}))
-        message = "config error: config.output: its last path component must not be empty, '.' or '..'\n"
+        if "\0" in output:
+            message = "config error: config.output: must not contain a NUL byte\n"
+        else:
+            message = "config error: config.output: its last path component must not be empty, '.' or '..'\n"
         for argv in (
             ["validate", "--config", "bad.json"],
             ["run", "--config", "bad.json"],
@@ -858,6 +862,21 @@ class TestCli:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", message)
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["bad.json", "d", "good.json"]
+
+    def test_failed_report_write_leaves_no_new_directory(self, tmp_path, capsys, monkeypatch):
+        # a file name one byte over the file system's limit validates, but its
+        # write fails; the run exits 1 and removes the directories it made
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+        cfg = {**shape_config(tmp_path, "feasibility"), "output": f"d/x/y/{name}"}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert main(["validate", "--config", "cfg.json"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", "cfg.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("io error: ")
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["cfg.json", "d"]
 
     @pytest.mark.parametrize(
         "scenario, leaves",
@@ -938,10 +957,14 @@ class TestCli:
             {("record_every",): 0, ("initial", "uniform_x", "n_trajectories"): 10**15},
             "config: record_every must be >= 1",
         ),
-        "b_range_au--1": ("feasibility", {("b_range_au",): -1}, "config: b_range_au must be >= 0"),
+        "b_range_au--1": (
+            "feasibility", {("b_range_au",): -1}, "config: b_range_au must be finite and >= 0, got -1.0"
+        ),
         "n_sites-0": ("feasibility", {("n_sites",): 0}, f"config: n_sites must be > 0 and <= {2**53}"),
-        "j_hz-0": ("feasibility", {("j_hz",): 0}, "config: j_hz must be > 0"),
-        "t0_seconds-0": ("feasibility", {("t0_seconds",): 0}, "config: t0_seconds must be > 0"),
+        "j_hz-0": ("feasibility", {("j_hz",): 0}, "config: j_hz must be finite and > 0, got 0.0"),
+        "t0_seconds-0": (
+            "feasibility", {("t0_seconds",): 0}, "config: t0_seconds must be finite and > 0, got 0.0"
+        ),
     }
 
     @pytest.mark.parametrize("rule", LIBRARY_RULES)
