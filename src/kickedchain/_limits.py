@@ -76,7 +76,7 @@ def check_integers(**values) -> None:
 
 
 def check_reals(lower=None, strict=False, **values) -> None:
-    """Raise ``ValueError`` unless each value is finite and, given ``lower``, >= it (> if ``strict``).
+    """Raise ``ValueError`` unless each value is finite and, if given, >= ``lower`` (> if ``strict``).
 
     A value is read with ``to_float``, so an integer beyond the float range is
     not finite; a string, which ``float`` would parse, is a ``TypeError``.
@@ -85,7 +85,7 @@ def check_reals(lower=None, strict=False, **values) -> None:
         if isinstance(value, (str, bytes, bytearray)):
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
         x = to_float(value)
-        if not math.isfinite(x) or lower is not None and (x <= lower if strict else x < lower):
+        if not math.isfinite(x) or (lower is not None and (x <= lower if strict else x < lower)):
             bound = "" if lower is None else f" and {'>' if strict else '>='} {lower}"
             raise ValueError(f"{name} must be finite{bound}, got {x}")
 
