@@ -49,6 +49,17 @@ def to_float(v) -> float:
         return math.inf
 
 
+def to_array(values, name: str, dtype=float, copy=None):
+    """``numpy.array(values, dtype, copy=copy)``; an integer beyond the float range in
+    ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``."""
+    import numpy as np  # here, so that the config validator loads no numpy
+
+    try:
+        return np.array(values, dtype=dtype, copy=copy)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
+
+
 def check_result_bytes(n_bytes: int, what: str) -> None:
     """Raise ``LimitError`` if a result of ``n_bytes`` would exceed the cap."""
     if n_bytes > MAX_RESULT_BYTES:

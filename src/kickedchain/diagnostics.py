@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import PROBABILITY_TOL, check_integers, check_reals
+from ._limits import PROBABILITY_TOL, check_integers, check_reals, to_array
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -54,7 +54,7 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
 
 
 def _check_probability(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = to_array(p, "p")
     total = p.sum()
     if not abs(total - 1.0) <= PROBABILITY_TOL:  # also rejects a NaN total
         raise ValueError(
@@ -105,7 +105,7 @@ def fit_localization_length(p, s0: int, fit_window: tuple[float, float]) -> Loca
     probability at the floating-point floor are dropped; fewer than 10 usable
     points in total is an error.
     """
-    p = np.asarray(p, dtype=float)
+    p = to_array(p, "p")
     n = len(p)
     d_min, d_max = fit_window
     if not 0 <= d_min < d_max or d_max >= n / 2:

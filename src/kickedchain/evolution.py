@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import MAX_TRANSFORM_SITES, PROBABILITY_TOL, LimitError, check_propagation, check_rotor
+from ._limits import (
+    MAX_TRANSFORM_SITES, PROBABILITY_TOL, LimitError, check_propagation, check_rotor, to_array,
+)
 from ._streams import Seed, uniform
 from .chain import delta_state, dispersion, wavenumber_grid
 from .specs import ChainConfig, DoubleKick, KickSchedule, RandomDoubleKick, SingleKick, check_chain_phases
@@ -78,20 +80,29 @@ def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
-def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
+def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int, emit):
     """Run ``n_periods`` periods of split-operator ``steps`` on ``amps``.
 
     A period runs each step ``(before, between, after)`` in order: multiply by
     ``before`` (own basis, or None), transform by ``forward`` ("fft" or
     "ifft"), multiply by ``between`` (conjugate basis), transform back,
     multiply by ``after`` (own basis, or None).  Every period runs in place
-    on ``amps``, which the caller hands over; snapshots are fresh arrays.
+    on ``amps``, which the caller hands over; snapshots are fresh arrays,
+    each passed to ``emit(period, probabilities)``, if given, as it is taken.
     Returns the record and the largest |amps[0]|**2 + |amps[-1]|**2 of any
     period.
     """
     fwd, inv = (np.fft.fft, np.fft.ifft) if forward == "fft" else (np.fft.ifft, np.fft.fft)
-    prob = np.abs(amps) ** 2
-    snapshots = [(0, prob)]
+    snapshots = []
+
+    def snap(t):
+        prob = np.abs(amps) ** 2
+        snapshots.append((t, prob))
+        if emit is not None:
+            emit(t, prob)
+        return prob
+
+    prob = snap(0)
     max_edge = float(prob[0] + prob[-1])
     for t in range(1, n_periods + 1):
         for before, between, after in steps:
@@ -104,7 +115,7 @@ def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int):
                 np.multiply(amps, after, out=amps)
         max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
         if t % snapshot_every == 0 or t == n_periods:
-            snapshots.append((t, np.abs(amps) ** 2))
+            snap(t)
     return PropagationRecord(snapshots=snapshots, final_state=amps), max_edge
 
 
@@ -114,6 +125,8 @@ def evolve(
     schedule: KickSchedule,
     n_periods: int,
     snapshot_every: int = 1,
+    *,
+    on_snapshot=None,
 ) -> PropagationRecord:
     """Propagate ``state`` for ``n_periods`` periods of the kick schedule.
 
@@ -122,20 +135,26 @@ def evolve(
     recorded every ``snapshot_every`` periods, plus period 0 and the final
     period.  The state must be finite with norm**2 within
     ``PROBABILITY_TOL`` of 1; any other is refused before the first period.
+
+    ``on_snapshot(period, probabilities)``, if given, is called on the
+    calling thread as each snapshot is taken, in period order, with the very
+    array the record keeps, which must not be modified.  A run refused before
+    its first period never calls it, and an exception it raises ends the run
+    and propagates with no further call.
     """
     n = config.n_sites
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
     check_propagation(n, n_periods, snapshot_every)
     check_chain_phases(config, schedule)
-    amps = np.array(state, dtype=complex, copy=True)
+    amps = to_array(state, "state", complex, copy=True)
     norm2 = float(np.vdot(amps, amps).real)
     if not abs(norm2 - 1.0) <= PROBABILITY_TOL:  # also refuses NaN and inf
         raise ValueError(f"state norm**2 is {norm2!r}; it must be 1 within {PROBABILITY_TOL}")
 
     exchange = _exchange_phases(config, schedule.period)
     steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
-    return _split_step(amps, steps, "fft", n_periods, snapshot_every)[0]
+    return _split_step(amps, steps, "fft", n_periods, snapshot_every, on_snapshot)[0]
 
 
 def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
@@ -171,6 +190,8 @@ def qkr_evolve(
     n_periods: int,
     n_basis: int,
     snapshot_every: int = 1,
+    *,
+    on_snapshot=None,
 ) -> PropagationRecord:
     """Kicked-rotor propagation in a truncated momentum basis.
 
@@ -180,7 +201,7 @@ def qkr_evolve(
     Per period: free rotation exp(-i*hbar/2*l^2), then the cosine kick of
     strength k applied on the angle grid.  If the edge probability exceeds
     1e-6 after any period, recorded or not, a truncation-leakage warning is
-    attached to the record.
+    attached to the record.  ``on_snapshot`` is called as in :func:`evolve`.
     """
     check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every)
 
@@ -191,7 +212,7 @@ def qkr_evolve(
 
     steps = [(free_phases, kick_phases, None)]
     amps = delta_state(n_basis, n_basis // 2)
-    record, max_edge = _split_step(amps, steps, "ifft", n_periods, snapshot_every)
+    record, max_edge = _split_step(amps, steps, "ifft", n_periods, snapshot_every, on_snapshot)
     if max_edge > QKR_LEAK_THRESHOLD:
         record.warnings.append(
             f"momentum-basis truncation leakage: edge probability {max_edge:.3e} "

@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _streams
-from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers
+from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers, to_array
 from .specs import (
     DoubleKickMap,
     DoubleWellMap,
@@ -113,8 +113,8 @@ class EnsembleStats:
 def _ensemble(x0, p0, spec: MapSpec, n_steps: int, seed, record_every=None):
     """Validated float copies of the initial conditions, checked with the caps before any work,
     and the seed as a SeedSequence or its :data:`_streams.Seed` record."""
-    x = np.array(x0, dtype=float).ravel()
-    p = np.array(p0, dtype=float).ravel()
+    x = to_array(x0, "x0", copy=True).ravel()
+    p = to_array(p0, "p0", copy=True).ravel()
     if x.size == 0:
         raise ValueError("ensemble must contain at least one trajectory")
     if x.shape != p.shape:

@@ -9,12 +9,14 @@ seed, and the package version, and is byte-reproducible for a fixed config.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib
 import json
 import math
 import os
 import shutil
+import threading
 import warnings as _warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -362,18 +364,88 @@ def _classical_initials(initial_cfg: dict, seed):
 
 def _write_report(path: Path, config: dict, report: dict) -> None:
     doc = {"config": config, "report": report, "seed": config["seed"], "version": __version__}
-    # encoded first, so a non-finite value leaves no partial report and no new directory
+    # encoded first, so a non-finite value leaves no partial report
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    new_dirs = [d for d in path.parents if not d.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+
+
+class _Outputs:
+    """The files of one run, each written to a hidden temp file in the output
+    directory and renamed onto ``<prefix><suffix>`` once every one is written.
+
+    ``stage`` makes the directory on first use.  ``discard`` removes what a
+    failed run made: its temp files, the files it renamed, and the outermost
+    directory that did not exist before, with what is left in it.
+    """
+
+    def __init__(self, prefix: Path):
+        self._prefix = prefix
+        self._new_dirs = [d for d in prefix.parents if not d.exists()]
+        self._staged: list[tuple[Path, Path]] = []
+        self._renamed: list[Path] = []
+
+    def stage(self, suffix: str) -> Path:
+        """A new temp file for ``<prefix><suffix>``: random, so that runs into one directory
+        do not meet, and short, so that it fits wherever the final name does."""
+        parent = self._prefix.parent
+        parent.mkdir(parents=True, exist_ok=True)
+        temp = parent / f".{os.urandom(6).hex()}{suffix}.tmp"
+        self._staged.append((temp, parent / (self._prefix.name + suffix)))
+        return temp
+
+    def commit(self) -> list[Path]:
+        """Rename every temp file onto its final name, in staging order; return the final names."""
+        for temp, final in self._staged:
+            os.replace(temp, final)
+            self._renamed.append(final)
+        return self._renamed
+
+    def discard(self) -> None:
+        for path in [temp for temp, _ in self._staged] + self._renamed:
+            path.unlink(missing_ok=True)
+        if self._new_dirs:
+            shutil.rmtree(self._new_dirs[-1], ignore_errors=True)
+
+
+@contextlib.contextmanager
+def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
+    """Write the CSV ``<prefix><suffix>`` with ``_floatcsv.write_csv`` on a second thread.
+
+    Yields ``put(index, values)``, which queues one block of rows, a
+    reference to ``values`` and not a copy: ``values`` is 1-D, one float per
+    row, or 2-D, one row each, and must not change once queued.  The writer
+    is joined when the ``with`` statement ends; an error of the writer is
+    raised by the next ``put``, or there.
+    """
+    import queue  # here, like write_csv, so that validation does not load it
+
+    from ._floatcsv import write_csv  # here, so that validation loads no numpy
+
+    path = outputs.stage(suffix)
+    blocks = queue.SimpleQueue()
+    failed = []
+
+    def write():
+        rows = ((index, values.reshape(len(values), -1)) for index, values in iter(blocks.get, None))
+        try:
+            write_csv(path, header, labels, rows)
+        except Exception as exc:  # handed to the runner's thread
+            failed.append(exc)
+
+    def put(index, values):
+        if failed:
+            raise failed[0]
+        blocks.put((index, values))
+
+    writer = threading.Thread(target=write, name="kickedchain-csv", daemon=True)
+    writer.start()
     try:
-        path.write_text(text + "\n")
-    except OSError:
-        # a failed write leaves no new directory: the outermost one made here
-        # goes, with what the write left in it
-        if new_dirs:
-            shutil.rmtree(new_dirs[-1], ignore_errors=True)
-        raise
+        yield put
+    finally:
+        blocks.put(None)
+        writer.join()
+    if failed:
+        raise failed[0]
 
 
 def _propagation_report(cfg, record, s0) -> dict:
@@ -436,13 +508,12 @@ def _rotor(cfg, record, s0) -> dict:
     return {"initial_momentum": cfg["rotor"]["initial_momentum"]}
 
 
-def _dist_table(labels, record):
-    """The CSV table of a propagation: one block of probabilities per snapshot."""
-    blocks = ((period, dist[:, None]) for period, dist in record.snapshots)
-    return ("_dist.csv", "period,site,probability", labels, blocks)
+def _dist_stream(outputs, labels):
+    """The CSV of a propagation, fed one block of probabilities per snapshot as it is taken."""
+    return _csv_stream(outputs, "_dist.csv", "period,site,probability", labels)
 
 
-def _run_chain(cfg):
+def _run_chain(cfg, outputs):
     _bind_engine()
     chain, schedule = ChainConfig(**cfg["chain"]), _schedule(cfg)
     if "delta_site" in cfg["initial"]:
@@ -451,20 +522,21 @@ def _run_chain(cfg):
     else:
         s0 = chain.kick_center
         state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
-    record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"])
-    return _propagation_report(cfg, record, s0), _dist_table(range(chain.n_sites), record)
+    with _dist_stream(outputs, range(chain.n_sites)) as put:
+        record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"], on_snapshot=put)
+    return _propagation_report(cfg, record, s0)
 
 
-def _run_qkr(cfg):
+def _run_qkr(cfg, outputs):
     _bind_engine()
-    rotor = cfg["rotor"]
-    record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
+    rotor, every = cfg["rotor"], cfg["snapshot_every"]
     lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
-    report = _propagation_report(cfg, record, rotor["n_basis"] // 2)
-    return report, _dist_table(range(lo, lo + rotor["n_basis"]), record)
+    with _dist_stream(outputs, range(lo, lo + rotor["n_basis"])) as put:
+        record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=every, on_snapshot=put)
+    return _propagation_report(cfg, record, rotor["n_basis"] // 2)
 
 
-def _run_classical(cfg):
+def _run_classical(cfg, outputs):
     from ._streams import Seed
 
     _bind_engine()
@@ -475,29 +547,30 @@ def _run_classical(cfg):
     x0, p0 = _classical_initials(cfg["initial"], init_ss)
     if "record_every" not in cfg:
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
-        report = {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
         steps = range(1, sections.shape[1] + 1)
-        return report, ("_sos.csv", "trajectory,step,x,p", steps, enumerate(sections))
+        with _csv_stream(outputs, "_sos.csv", "trajectory,step,x,p", steps) as put:
+            for block in enumerate(sections):
+                put(*block)
+        return {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
     stats = iterate_ensemble(x0, p0, spec, cfg["n_steps"], cfg["record_every"], seed=run_ss)
-    report = {
+    return {
         "n_trajectories": int(x0.size),
         "steps": [int(s) for s in stats.steps],
         "mean_p": [float(v) for v in stats.mean_p],
         "var_p": [float(v) for v in stats.var_p],
     }
-    return report, None
 
 
-def _run_feasibility(cfg):
-    result = feasibility(cfg["b_range_au"], cfg["n_sites"], cfg["j_hz"], cfg["t0_seconds"])
-    return result.to_dict(), None
+def _run_feasibility(cfg, outputs):
+    return feasibility(cfg["b_range_au"], cfg["n_sites"], cfg["j_hz"], cfg["t0_seconds"]).to_dict()
 
 
 class _Scenario(NamedTuple):
     """One run type: its top-level fields besides scenario, seed and output;
-    its validator, which fills in the resolved config; its runner, which
-    returns the report and either None or (CSV suffix, header, labels, blocks);
-    and for a propagation ``diagnose(cfg, record, s0)``, the report's own keys."""
+    its validator, which fills in the resolved config; its runner
+    ``run(cfg, outputs)``, which writes its CSV, if any, through
+    ``_csv_stream(outputs, ...)`` and returns the report; and for a
+    propagation ``diagnose(cfg, record, s0)``, the report's own keys."""
 
     fields: tuple
     validate: Callable
@@ -535,9 +608,12 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     ``seed`` and ``out_prefix`` override the config's seed and output, and
     must pass the same checks.
     Returns {"files": [paths written], "config": resolved config,
-    "warnings": [...]}; warnings are also embedded in the report.  The
-    report is written before the CSV, so a run that is refused, or whose
-    report cannot be encoded, leaves no output files and no new directory.
+    "warnings": [...]}; warnings are also embedded in the report.  Every
+    file is written to a temp file in the output directory, the CSV while
+    the run is still computing, and renamed onto its name only once the
+    report is written, the report last.  So a run that is refused or fails
+    leaves no output files and no new directory, and the files of an
+    earlier run under the same prefix stay as they were.
     """
     cfg = validate_config(read_config(config) if isinstance(config, (str, Path)) else dict(config))
     # after validate_config, so that a run refuses a config exactly as validate does
@@ -546,18 +622,14 @@ def run_scenario(config, seed: int | None = None, out_prefix: str | None = None)
     if out_prefix is not None:
         cfg["output"] = _output(out_prefix)
 
-    report, csv = _REGISTRY[cfg["scenario"]].run(cfg)
-    prefix = Path(cfg["output"])
-    report_path = prefix.parent / (prefix.name + "_report.json")
-    _write_report(report_path, cfg, report)
-    files = [report_path]
-    if csv is not None:
-        from ._floatcsv import write_csv  # here, so that validation loads no numpy
-
-        suffix, *table = csv
-        csv_path = prefix.parent / (prefix.name + suffix)
-        write_csv(csv_path, *table)
-        files.insert(0, csv_path)
+    outputs = _Outputs(Path(cfg["output"]))
+    try:
+        report = _REGISTRY[cfg["scenario"]].run(cfg, outputs)
+        _write_report(outputs.stage("_report.json"), cfg, report)
+        files = outputs.commit()
+    except BaseException:
+        outputs.discard()
+        raise
 
     return {
         "files": [str(f) for f in files],

@@ -14,15 +14,20 @@ from kickedchain import (
     DoubleKick,
     RandomDoubleKick,
     SingleKick,
+    StandardMap,
     cell_occupancy,
     delta_state,
     detect_accelerator_modes,
     dispersion,
+    distribution_stats,
     evolve,
     feasibility,
+    fit_localization_length,
+    iterate_ensemble,
     magnon_state,
     qkr_evolve,
     rotor_image,
+    surface_of_section,
     wavenumber_grid,
 )
 
@@ -290,7 +295,8 @@ def _record():
     return evolve(delta_state(8, 4), ChainConfig(8, 1.0), SingleKick(0.1, 1.0), 3)
 
 
-# Each used to raise OverflowError from math.isfinite.
+# Each used to raise OverflowError, from math.isfinite or, for an array
+# argument, from numpy's conversion to float.
 HUGE = 10**400
 
 
@@ -306,11 +312,21 @@ HUGE = 10**400
         (lambda: detect_accelerator_modes(_record(), HUGE, 4), "b_kick"),
         (lambda: cell_occupancy([0.25] * 4, HUGE, 2), "b_weak"),
         (lambda: feasibility(1e-6, 100, HUGE), "j_hz"),
+        (lambda: iterate_ensemble([HUGE], [0.0], StandardMap(1.0), 2, 1), "x0"),
+        (lambda: iterate_ensemble([0.0], [0.0, HUGE], StandardMap(1.0), 2, 1), "p0"),
+        (lambda: surface_of_section([HUGE], [0.0], StandardMap(1.0), 2), "x0"),
+        (lambda: surface_of_section([0.0], [-HUGE], StandardMap(1.0), 2), "p0"),
+        (lambda: evolve([HUGE, 0, 0, 0], ChainConfig(4, 1.0), SingleKick(0.1, 1.0), 2), "state"),
+        (lambda: distribution_stats([HUGE, 0], 0), "p"),
+        (lambda: cell_occupancy([HUGE, 0], 0.1, 0), "p"),
+        (lambda: fit_localization_length([HUGE] * 40, 0, (1, 5)), "p"),
     ],
     ids=[
         "ChainConfig-j1", "SingleKick-b_kick", "DoubleKick-b_strong", "RandomDoubleKick-period",
         "qkr_evolve-k", "qkr_evolve-hbar", "detect_accelerator_modes-b_kick",
-        "cell_occupancy-b_weak", "feasibility-j_hz",
+        "cell_occupancy-b_weak", "feasibility-j_hz", "iterate_ensemble-x0", "iterate_ensemble-p0",
+        "surface_of_section-x0", "surface_of_section-p0", "evolve-state", "distribution_stats-p",
+        "cell_occupancy-p", "fit_localization_length-p",
     ],
 )
 def test_int_beyond_float_range_is_not_finite(call, name):

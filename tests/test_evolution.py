@@ -1,5 +1,6 @@
 """Propagation tests: split-step path against independent dense oracles."""
 
+import threading
 import warnings
 
 import mpmath
@@ -538,6 +539,59 @@ class TestInPlaceEngine:
         np.testing.assert_array_equal(record.final_state, final)
         for (t, prob), expected in zip(record.snapshots, probs, strict=True):
             np.testing.assert_array_equal(prob, expected, err_msg=f"period {t}")
+
+
+# A chain and a rotor run of 10 periods with a snapshot every 3, called with
+# the keyword arguments given.
+HOOKED_RUNS = {
+    "chain": lambda **kw: evolve(
+        delta_state(64, 32), ChainConfig(64, 1.0), DoubleKick(0.05, 0.7, 3.0), 10, 3, **kw
+    ),
+    "rotor": lambda **kw: qkr_evolve(2, 5.0, 0.25, 10, 64, 3, **kw),
+}
+
+
+class TestSnapshotHook:
+    """``on_snapshot(period, probabilities)`` sees each snapshot as it is taken."""
+
+    @pytest.mark.parametrize("run", HOOKED_RUNS.values(), ids=HOOKED_RUNS)
+    def test_sees_the_record_on_the_calling_thread(self, run):
+        calls = []
+        record = run(on_snapshot=lambda t, p: calls.append((t, p, p.copy(), threading.get_ident())))
+        assert [c[0] for c in calls] == [t for t, _ in record.snapshots] == [0, 3, 6, 9, 10]
+        for (_, p, seen, thread), (_, kept) in zip(calls, record.snapshots):
+            assert p is kept
+            np.testing.assert_array_equal(seen, kept)
+            assert thread == threading.get_ident()
+
+    @pytest.mark.parametrize("run", HOOKED_RUNS.values(), ids=HOOKED_RUNS)
+    def test_exception_ends_the_run(self, run):
+        periods = []
+
+        def hook(t, p):
+            periods.append(t)
+            if len(periods) == 2:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="^stop$"):
+            run(on_snapshot=hook)
+        assert periods == [0, 3]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda **kw: evolve(delta_state(64, 32), ChainConfig(64, 1.0), SingleKick(1e308, 10.0), 12, **kw),
+            lambda **kw: evolve(delta_state(64, 32), ChainConfig(64, 1.0), SingleKick(0.2, 10.0), 2**63, 2**63, **kw),
+            lambda **kw: qkr_evolve(0, 5.0, 1e300, 6, 16, **kw),
+            lambda **kw: qkr_evolve(0, 5.0, 1.0, 2**63, 16, 2**63, **kw),
+        ],
+        ids=["chain-phase", "chain-work", "rotor-phase", "rotor-work"],
+    )
+    def test_refused_run_never_calls_it(self, run):
+        calls = []
+        with pytest.raises(ValueError, match="phase reaches|over the work cap"):
+            run(on_snapshot=lambda *args: calls.append(args))
+        assert calls == []
 
 
 class TestScheduleValidation:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kickedchain
+import kickedchain._floatcsv as floatcsv_module
 import kickedchain.scenario as scenario_module
 from kickedchain import (
     DoubleKick,
@@ -555,6 +557,87 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="JSON compliant"):
             run_scenario(small_single_kick(tmp_path, output=str(tmp_path / "deep" / "run")))
         assert list(tmp_path.iterdir()) == []
+
+
+def fail_second_block(monkeypatch):
+    """Make the CSV writer raise ``OSError`` at its second block of rows."""
+    write_rows = floatcsv_module.write_rows
+    blocks = []
+
+    def failing(*args):
+        blocks.append(args)
+        if len(blocks) == 2:
+            raise OSError("disk full")
+        write_rows(*args)
+
+    monkeypatch.setattr(floatcsv_module, "write_rows", failing)
+
+
+class TestStreamedWrite:
+    """The CSV is written on a second thread while the run computes, into a
+    temp file that is renamed only once the report is written."""
+
+    @pytest.mark.parametrize(
+        "scenario, propagate",
+        [("single_kick", "evolve"), ("qkr", "qkr_evolve"), ("surface_of_section", None)],
+    )
+    def test_writer_error_exits_1_without_output(self, tmp_path, capsys, monkeypatch, scenario, propagate):
+        cfg = shape_config(tmp_path, scenario)
+        if propagate:
+            cfg.update(n_periods=60, snapshot_every=3)
+            engine, periods = getattr(scenario_module, propagate), []
+
+            def run(*args, on_snapshot, **kwargs):
+                # waits for the writer to fail at the second snapshot, so the
+                # third is the first put after the failure
+                def hook(t, p):
+                    periods.append(t)
+                    on_snapshot(t, p)
+                    if len(periods) == 2:
+                        writer = next(w for w in threading.enumerate() if w.name == "kickedchain-csv")
+                        writer.join(timeout=30)
+                        assert not writer.is_alive()
+
+                return engine(*args, on_snapshot=hook, **kwargs)
+
+            monkeypatch.setattr(scenario_module, propagate, run)
+        fail_second_block(monkeypatch)
+        cfg["output"] = str(tmp_path / "deep" / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", "io error: disk full\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        if propagate:
+            # the propagation stopped at the snapshot after the failure
+            assert periods == [0, 3, 6]
+
+    @pytest.mark.parametrize("failure", ["writer", "report"])
+    def test_failed_rerun_keeps_earlier_outputs(self, tmp_path, capsys, monkeypatch, failure):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_single_kick(tmp_path)))
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        names = ["cfg.json", "run_dist.csv", "run_report.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        if failure == "writer":
+            fail_second_block(monkeypatch)
+        else:
+            monkeypatch.setattr(
+                scenario_module, "_propagation_report", lambda *args: {"variance": float("nan")}
+            )
+        assert main(["run", "--config", str(path)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_random_ensemble_starts_no_writer(self, tmp_path, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a writer thread was started")
+
+        monkeypatch.setattr(scenario_module, "_csv_stream", started)
+        result = run_scenario(shape_config(tmp_path, "classical_map"))
+        assert [Path(f).name for f in result["files"]] == ["run_report.json"]
 
 
 # One small config per scenario, and the exact key set of its report.
