@@ -17,6 +17,8 @@ byte order) in which NUL bytes mark unused slots, so one boolean compaction
 of the row matrix gives the CSV bytes.  A value takes ``_WORDS`` words: ","
 and the sign, with the "0.000" head of a small fixed-point value; then up to
 17 digits with the decimal point put in (18 bytes), and the exponent suffix.
+Every row carries its own head words, "\\r\\n<index>,", so one pass of the
+kernel can end one snapshot or trajectory and start the next.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import numpy as np
 
 # Words of one value: separator, sign and head; then digits, point and suffix.
 _WORDS = 4
-# Values formatted per pass; the scratch of a pass is a few hundred kB.
-_BLOCK = 2048
+# Values formatted per pass, at most; a pass spans blocks.  Each pass is about
+# 50 ufunc calls, whose fixed cost dominates below about 10k values; its
+# scratch is about 160 bytes per value, 1.3 MB at 8192.
+_BLOCK = 8192
 # The biased exponents of the doubles below 2**50; 0 holds zero and the subnormals.
 _MAX_EXP = 1072
 # The layout tables cover the decimal exponents E of a leading digit in [_MIN_LEAD, 15].
@@ -101,11 +105,23 @@ def _tables():
 
 
 def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of (a1:a0) * (b1:b0), from 32-bit limbs held in uint64 lanes."""
+    """High 64 bits of (a1:a0) * (b1:b0), from 32-bit limbs held in uint64 lanes.
+
+    Works in ``b0`` and ``b1``, and returns ``b1``.
+    """
     t = a0 * b0
-    u = a1 * b0 + (t >> 32)
-    w = a0 * b1 + (u & _M32)
-    return a1 * b1 + (u >> 32) + (w >> 32)
+    t >>= 32
+    b0 *= a1
+    b0 += t
+    # b0 is now u = a1 * b0 + (a0 * b0 >> 32), and t becomes w = a0 * b1 + (u & _M32)
+    np.multiply(a0, b1, out=t)
+    t += b0 & _M32
+    b1 *= a1
+    b0 >>= 32
+    b1 += b0
+    t >>= 32
+    b1 += t
+    return b1
 
 
 def _product(mv, exp, ryu):
@@ -120,9 +136,12 @@ def _product(mv, exp, ryu):
     return mv * ryu["ml"].take(exp), w1, high[1]
 
 
-def _interval(bits, exp, ryu):
-    """Ryu's vr, its bounds vp and vm as rows of one array, and whether vr is exact."""
-    mv = bits & (2**52 - 1)
+def _interval(mv, exp, ryu):
+    """Ryu's vr, its bounds vp and vm as rows of one array, and whether vr is exact.
+
+    ``mv`` holds the doubles' bits on entry; it is overwritten.
+    """
+    mv &= 2**52 - 1
     # the lower bound is mv - 2, or mv - 1 below a power of two
     wide = (mv != 0) | (exp <= 1)
     mv |= (exp != 0).astype(np.uint64) << 52
@@ -134,8 +153,14 @@ def _interval(bits, exp, ryu):
     up += w0 > ryu["nml2"].take(exp)
     down = np.where(wide, ryu["mh2"].take(exp), ryu["mh"].take(exp))
     down += w0 < np.where(wide, ryu["ml2"].take(exp), ryu["ml"].take(exp))
-    bounds = np.stack([w1 + up, w1 - down])
-    high = np.stack([w2 + (bounds[0] < up), w2 - (w1 < down)])
+    del w0, wide
+    bounds = np.empty((2, len(w1)), dtype=np.uint64)
+    high = np.empty_like(bounds)
+    np.add(w1, up, out=bounds[0])
+    np.add(w2, bounds[0] < up, out=high[0])
+    np.subtract(w1, down, out=bounds[1])
+    np.subtract(w2, w1 < down, out=high[1])
+    del up, down
     # vr, vp and vm are these words >> (64 + s), where each fits one word
     s, sl = ryu["shift"].take(exp, axis=1)
     bounds >>= s
@@ -150,49 +175,67 @@ def _interval(bits, exp, ryu):
 def _digits(bits, exp):
     """Ryu's shortest digits of the doubles with ``bits`` (finite, 0 < |x| < 2**50).
 
-    ``exp`` is their biased exponent as intp.  Returns the digits as an integer
-    below 10**17 and the decimal exponent of the last digit.
+    ``exp`` is their biased exponent as int64.  Returns the digits as an integer
+    below 10**17 and the decimal exponent of the last digit.  ``bits`` is
+    overwritten.
     """
     ryu, ryu_e10, pow10, half, _ = _tables()
     vr, bounds, exact = _interval(bits, exp, ryu)
     # drop the most digits r that leave a multiple of 10**r in (vm, vp]
-    removed = np.zeros(len(bits), dtype=np.intp)
+    removed = np.zeros(len(vr), dtype=np.intp)
     for step in (16, 8, 4, 2, 1):
         cut = bounds // 10**step
         keep = cut[0] > cut[1]
         if keep.any():
-            bounds = np.where(keep, cut, bounds)
+            np.copyto(bounds, cut, where=keep)
             removed += keep * step
+    del cut, keep
     scale = pow10.take(removed)
     out = vr // scale
-    rest = vr - out * scale
+    scale *= out
+    vr -= scale
+    # vr is now the rest; round up where the cut vr is the cut vm, which lies
+    # outside the interval; else half up, but a tie on an exactly represented
+    # vr goes to even
     mid = half.take(removed)
-    # round up where the cut vr is the cut vm, which lies outside the interval;
-    # else half up, but a tie on an exactly represented vr goes to even
-    tie_down = (rest == mid) & exact & ((out & 1) == 0)
-    out += (out == bounds[1]) | (rest > mid) | ((rest == mid) & ~tie_down)
+    tie_down = (vr == mid) & exact & ((out & 1) == 0)
+    out += (out == bounds[1]) | (vr > mid) | ((vr == mid) & ~tie_down)
     return out, ryu_e10.take(exp) + removed
 
 
 def _swar8(n):
-    """Digit values (no "0" added) of ``n`` < 10**8, first digit in the lowest byte."""
+    """Digit values (no "0" added) of ``n`` < 10**8, first digit in the lowest byte, in place."""
     hi = n // 10000
-    v = hi | ((n - 10000 * hi) << 32)
-    t = ((v * 10486) >> 20) & 0x0000007F0000007F
-    v = t | ((v - 100 * t) << 16)
-    t = ((v * 103) >> 10) & 0x000F000F000F000F
-    return t | ((v - 10 * t) << 8)
+    t = hi * 10000
+    n -= t
+    n <<= 32
+    n |= hi
+    # split each field v in two, q = v // 100 and then v // 10, by a multiply and a shift
+    for mul, shift, mask, base, width in ((10486, 20, 0x0000007F0000007F, 100, 16),
+                                          (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(n, mul, out=t)
+        t >>= shift
+        t &= mask
+        np.multiply(t, base, out=hi)
+        n -= hi
+        n <<= width
+        n |= t
 
 
 def _digit_words(digits, n_digits, pow10):
-    """Digit values of ``digits``, left-aligned to 17, as three words: 0-7, 8-15 and 16."""
-    aligned = digits * pow10.take(17 - n_digits)
+    """Digit values of ``digits``, left-aligned to 17, as three words: 0-7, 8-15 and 16.
+
+    ``digits`` is overwritten.
+    """
+    digits *= pow10.take(17 - n_digits)
     words = np.empty((3, len(digits)), dtype=np.uint64)
-    words[0] = aligned // 10**9
-    aligned -= words[0] * 10**9
-    words[1] = aligned // 10
-    words[2] = aligned - 10 * words[1]
-    words[:2] = _swar8(words[:2])
+    np.floor_divide(digits, 10**9, out=words[0])
+    np.multiply(words[0], 10**9, out=words[1])
+    digits -= words[1]
+    np.floor_divide(digits, 10, out=words[1])
+    np.multiply(words[1], 10, out=words[2])
+    np.subtract(digits, words[2], out=words[2])
+    _swar8(words[:2])
     return words
 
 
@@ -201,31 +244,40 @@ def _fill(words, x) -> None:
     _, _, pow10, _, layout = _tables()
     shape = x.shape
     bits = np.ascontiguousarray(x).view(np.uint64).ravel()
-    exp = ((bits >> 52) & 0x7FF).astype(np.intp)
+    exp = (bits >> 52).view(np.int64)
+    exp &= 0x7FF
     zero = (bits << 1) == 0
     fast = (exp <= _MAX_EXP) & ~zero
+    slow = np.flatnonzero(~(fast | zero))
     # a lane outside the fast path computes the digits of 0.30000000000000004,
     # which drop few, and is overwritten
-    digits, last_exp = _digits(np.where(fast, bits, 0x3FD3333333333334), np.where(fast, exp, 1021))
+    np.putmask(exp, ~fast, 1021)
+    digits, last_exp = _digits(np.where(fast, bits, 0x3FD3333333333334), exp)
+    del exp, fast
     digits[zero] = 0
     n_digits = np.searchsorted(pow10[1:18], digits, side="right") + 1
+    text = _digit_words(digits, n_digits, pow10)
+    del digits
     row = np.where(zero, 0, last_exp + n_digits - 1) - _MIN_LEAD
     shown = np.maximum(n_digits, layout["fewest"].take(row))
+    del n_digits
     # a point shows only where a digit follows it: "5e-324", not "5.e-324"
-    point = layout["point"].take(row)
-    at = np.where(point < shown - 1, point, 17)
+    at = layout["point"].take(row)
+    at[at >= shown - 1] = 17
     # ASCII digits up to the count shown; the bytes after the point move up one
-    text = _digit_words(digits, n_digits, pow10) + layout["zeros"].take(shown, axis=1)
-    low = text & layout["low"].take(at, axis=1)
+    text += layout["zeros"].take(shown, axis=1)
+    low = layout["low"].take(at, axis=1)
+    low &= text
     text ^= low
-    moved = text << 8
-    moved[1:] |= text[:-1] >> 56
-    moved |= low
-    moved |= layout["dot"].take(at, axis=1)
-    moved[2] |= layout["suffix"].take(row)
-    words[..., 1:] = moved.T.reshape(*shape, 3)
+    carry = text[:-1] >> 56
+    text <<= 8
+    text[1:] |= carry
+    text |= low
+    del low
+    text |= layout["dot"].take(at, axis=1)
+    text[2] |= layout["suffix"].take(row)
+    words[..., 1:] = text.T.reshape(*shape, 3)
     words[..., 0] = (layout["first"].take(row) | ((bits >> 63) * 45) << 8).reshape(shape)
-    slow = np.flatnonzero(~(fast | zero))
     if len(slow):
         text = [b"," + repr(v).encode() for v in bits.view(np.float64)[slow].tolist()]
         fields = np.array(text, dtype=f"S{8 * _WORDS}").view("<u8").reshape(-1, _WORDS)
@@ -240,36 +292,55 @@ def label_words(labels) -> np.ndarray:
     return labels.astype(f"S{8 * width}").view("<u8").reshape(len(labels), width)
 
 
-def write_rows(fh, head: str, labels, values) -> None:
-    """Write one CSV row per row of ``values`` to the binary file ``fh``.
+def _write_pass(fh, labels, pieces) -> None:
+    """Format ``pieces``, each ``(index, first, values)``, in one kernel pass and
+    write them to the binary file ``fh``.
 
-    Row ``i`` is "\\r\\n", which ends the line before it, ``head``,
-    ``labels[i]`` (from ``label_words``) and the floats ``values[i]``, each
-    after a ",".  A float's bytes are its ``repr``.  At most ``_BLOCK`` values
-    are formatted at a time.
+    Row ``i`` of a piece is "\\r\\n", which ends the line before it, ``index``,
+    ``labels[first + i]`` (from ``label_words``) and the floats ``values[i]``,
+    each after a ",".  The heads of a pass are NUL-padded to the widest.
     """
-    n, k = values.shape
-    head = ("\r\n" + head).encode()
-    head_words = np.frombuffer(head.ljust(-(-len(head) // 8) * 8, b"\0"), dtype="<u8")
-    n_head, n_label = len(head_words), labels.shape[1]
-    step = max(1, _BLOCK // k)
-    rows = np.zeros((min(n, step), n_head + n_label + k * _WORDS), dtype="<u8")
-    rows[:, :n_head] = head_words
-    for start in range(0, n, step):
-        block = rows[: min(step, n - start)]
-        block[:, n_head : n_head + n_label] = labels[start : start + len(block)]
-        fields = block[:, n_head + n_label :].reshape(len(block), k, _WORDS)
-        _fill(fields, values[start : start + len(block)])
-        text = block.view(np.uint8)
-        fh.write(text[text != 0])
+    heads = [f"\r\n{index},".encode() for index, _, _ in pieces]
+    n_head, n_label = -(-max(map(len, heads)) // 8), labels.shape[1]
+    values = np.concatenate([v for _, _, v in pieces]) if len(pieces) > 1 else pieces[0][2]
+    m, k = values.shape
+    rows = np.empty((m, n_head + n_label + k * _WORDS), dtype="<u8")
+    at = 0
+    for head, (_, first, v) in zip(heads, pieces):
+        rows[at : at + len(v), :n_head] = np.frombuffer(head.ljust(8 * n_head, b"\0"), dtype="<u8")
+        rows[at : at + len(v), n_head : n_head + n_label] = labels[first : first + len(v)]
+        at += len(v)
+    _fill(rows[:, n_head + n_label :].reshape(m, k, _WORDS), values)
+    text = rows.view(np.uint8)
+    fh.write(text[text != 0])
 
 
-def write_csv(path, header: str, labels, blocks) -> None:
-    """Write ``header``; then, for each ``(index, values)`` of ``blocks``, one row per
-    row ``i`` of ``values``: ``index``, the integer ``labels[i]``, the floats ``values[i]``."""
+def write_csv(fh, header: str, labels, batches) -> None:
+    """Write ``header`` to the binary file ``fh``; then, for each ``(index, values)``
+    of each batch of ``batches``, one row per row ``i`` of ``values``: ``index``,
+    the integer ``labels[i]``, the floats ``values[i]``.
+
+    ``values`` is 1-D, one float per row, or 2-D, of one width in a file.  The
+    floats are formatted in passes of at most ``_BLOCK``, which run on from one
+    block to the next, splitting a block where a pass is full; the last pass
+    of a batch ends with it, so a pass never waits for the next batch.
+    """
     labels = label_words(labels)
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        for index, values in blocks:
-            write_rows(fh, f"{index},", labels, values)
-        fh.write(b"\r\n")
+    fh.write(header.encode())
+    for batch in batches:
+        pieces, size = [], 0
+        for index, values in batch:
+            values = values.reshape(len(values), -1)
+            step = max(1, _BLOCK // values.shape[1])
+            first = 0
+            while first < len(values):
+                take = min(len(values) - first, step - size)
+                pieces.append((index, first, values[first : first + take]))
+                first += take
+                size += take
+                if size == step:
+                    _write_pass(fh, labels, pieces)
+                    pieces, size = [], 0
+        if pieces:
+            _write_pass(fh, labels, pieces)
+    fh.write(b"\r\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import check_basis, check_integers, check_reals
+from ._limits import check_basis, check_integers, check_reals, to_array
 from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
@@ -66,11 +66,13 @@ def dispersion(config: ChainConfig, k):
     nnn_ladder:       j1 + j2 - j1*cos(k) - j2*cos(2k)
     antiferro_linear: j1 * |sin k|
 
-    Accepts scalars or arrays.  The constant offsets (ground-state energy,
-    uniform Zeeman term) only contribute a global phase to the dynamics and
-    are excluded.
+    Accepts scalars or arrays; a ``k`` that is not finite is a ``ValueError``.
+    The constant offsets (ground-state energy, uniform Zeeman term) only
+    contribute a global phase to the dynamics and are excluded.
     """
-    k = np.asarray(k, dtype=float)
+    k = to_array(k, "k")
+    if not np.isfinite(k).all():
+        raise ValueError("k must be finite")
     if config.model is ChainModel.FERROMAGNET:
         e = config.j1 * (1.0 - np.cos(k))
     elif config.model is ChainModel.NNN_LADDER:

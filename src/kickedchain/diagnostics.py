@@ -152,11 +152,18 @@ class SpikeTrack:
 
 
 def _local_contrast(p, site):
-    """Peak height relative to the median background in a surrounding ring."""
+    """Peak height relative to the median background in a surrounding ring.
+
+    On a ring of at most ``2 * MASS_WINDOW + 1`` sites the peak window covers
+    every site, so there is no background to stand above: the contrast is 0.
+    """
     n = len(p)
     ring = np.arange(site - 8 * MASS_WINDOW, site + 8 * MASS_WINDOW + 1) % n
     peak = np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1) % n
-    background = np.median(p[np.setdiff1d(ring, peak)])
+    outside = np.setdiff1d(ring, peak)
+    if not len(outside):
+        return 0.0
+    background = np.median(p[outside])
     return p[site] / background if background > 0 else np.inf
 
 

@@ -414,8 +414,9 @@ def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
     Yields ``put(index, values)``, which queues one block of rows, a
     reference to ``values`` and not a copy: ``values`` is 1-D, one float per
     row, or 2-D, one row each, and must not change once queued.  The writer
-    is joined when the ``with`` statement ends; an error of the writer is
-    raised by the next ``put``, or there.
+    takes every block queued so far as one batch, which its passes run
+    across.  It is joined when the ``with`` statement ends; an error of the
+    writer is raised by the next ``put``, or there.
     """
     import queue  # here, like write_csv, so that validation does not load it
 
@@ -425,10 +426,19 @@ def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
     blocks = queue.SimpleQueue()
     failed = []
 
+    def batches():
+        while True:
+            batch = [blocks.get()]
+            while not blocks.empty():
+                batch.append(blocks.get())
+            yield [block for block in batch if block is not None]
+            if batch[-1] is None:
+                return
+
     def write():
-        rows = ((index, values.reshape(len(values), -1)) for index, values in iter(blocks.get, None))
         try:
-            write_csv(path, header, labels, rows)
+            with open(path, "wb") as fh:
+                write_csv(fh, header, labels, batches())
         except Exception as exc:  # handed to the runner's thread
             failed.append(exc)
 

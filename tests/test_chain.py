@@ -1,6 +1,7 @@
 """Basis, dispersion, and rotor-image parameter tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestDispersion:
     @settings(max_examples=50, deadline=None)
     def test_even_in_k(self, cfg, k):
         assert dispersion(cfg, k) == pytest.approx(dispersion(cfg, -k), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "k", [10**400, math.inf, [0.0, -math.inf], math.nan], ids=["huge", "inf", "array", "nan"]
+    )
+    def test_rejects_non_finite_k(self, k):
+        # 10**400 used to raise OverflowError, and inf to return nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^k must be finite$"):
+                dispersion(ChainConfig(n_sites=8, j1=1.0), k)
 
     def test_ferromagnet_range(self):
         cfg = ChainConfig(n_sites=8, j1=2.5)

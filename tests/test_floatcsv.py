@@ -6,20 +6,22 @@ turns it to float64, which either raises or loses the low digits of a
 """
 
 import io
+import os
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedchain._floatcsv import label_words, write_rows
+from kickedchain._floatcsv import _BLOCK, write_csv
 
 
 def formatted(x):
     """The kernel's text of each float of ``x``."""
     x = np.asarray(x, dtype=np.float64)
     fh = io.BytesIO()
-    write_rows(fh, "", label_words(np.zeros(len(x), dtype=np.int64)), x[:, None])
-    return [row[2:] for row in fh.getvalue().decode().split("\r\n")[1:]]
+    write_csv(fh, "", np.zeros(len(x), dtype=np.int64), [[(0, x)]])
+    return [row[4:] for row in fh.getvalue().decode().split("\r\n")[1:-1]]
 
 
 def first_difference(x):
@@ -60,3 +62,18 @@ def test_sweeps_match_repr():
 def test_raw_bit_patterns_match_repr(patterns):
     assert first_difference(np.array(patterns, dtype=np.uint64).view(np.float64)) is None
 
+
+def test_full_pass_scratch_is_bounded():
+    """A full pass of one-float rows peaks at 156 bytes per value as measured
+    (numpy 2.4, Python 3.11); the bound leaves 20 %."""
+    x = np.random.default_rng(0).dirichlet(np.ones(_BLOCK))
+    labels = np.arange(_BLOCK)
+    with open(os.devnull, "wb") as fh:
+        write_csv(fh, "", labels, [[(0, x)]])  # builds the kernel's tables, which are kept
+        tracemalloc.start()
+        try:
+            write_csv(fh, "", labels, [[(0, x)]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / _BLOCK <= 188

@@ -13,6 +13,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from kickedchain.scenario import run_scenario
 
@@ -42,7 +43,10 @@ def test_outputs_match_manifest(name, tmp_path, monkeypatch):
     pinned = {f for f in _manifest() if f.startswith(f"bundled/{name}_")}
     assert set(files) == pinned
     for f in files:
-        assert hashlib.sha256(Path(f).read_bytes()).hexdigest() == _manifest()[f], f
+        assert hashlib.sha256(Path(f).read_bytes()).hexdigest() == _manifest()[f], (
+            f"{f}; the manifest needs numpy's complex multiply at X86_V3 or above, and it runs as "
+            f"{opt_func_info(func_name='multiply', signature='complex128')}"
+        )
 
 
 def test_manifest_covers_every_run():

@@ -87,13 +87,14 @@ def oracle_sos_csv(path, sections):
 
 def write_dist_csv(path, snapshots, site_labels):
     """The dist CSV as a propagation run writes it."""
-    blocks = ((period, dist[:, None]) for period, dist in snapshots)
-    write_csv(path, "period,site,probability", site_labels, blocks)
+    with path.open("wb") as fh:
+        write_csv(fh, "period,site,probability", site_labels, [snapshots])
 
 
 def write_sos_csv(path, sections):
     """The section CSV as a surface-of-section run writes it."""
-    write_csv(path, "trajectory,step,x,p", range(1, sections.shape[1] + 1), enumerate(sections))
+    with path.open("wb") as fh:
+        write_csv(fh, "trajectory,step,x,p", range(1, sections.shape[1] + 1), [enumerate(sections)])
 
 
 EDGE_FLOATS = [0.0, 5e-324, 1e-300, 0.1, 1e16]
@@ -560,17 +561,17 @@ class TestRunScenario:
 
 
 def fail_second_block(monkeypatch):
-    """Make the CSV writer raise ``OSError`` at its second block of rows."""
-    write_rows = floatcsv_module.write_rows
+    """Make the CSV writer raise ``OSError`` at the pass that holds its second block of rows."""
+    write_pass = floatcsv_module._write_pass
     blocks = []
 
-    def failing(*args):
-        blocks.append(args)
-        if len(blocks) == 2:
+    def failing(fh, labels, pieces):
+        blocks.extend(piece for piece in pieces if piece[1] == 0)
+        if len(blocks) >= 2:
             raise OSError("disk full")
-        write_rows(*args)
+        write_pass(fh, labels, pieces)
 
-    monkeypatch.setattr(floatcsv_module, "write_rows", failing)
+    monkeypatch.setattr(floatcsv_module, "_write_pass", failing)
 
 
 class TestStreamedWrite:
@@ -844,6 +845,72 @@ class TestWriterBytes:
         self.assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, snapshots, labels)
 
 
+def record_passes(monkeypatch):
+    """Record each kernel pass of the CSV writer as its pieces, ``(index, first row, rows)``."""
+    write_pass = floatcsv_module._write_pass
+    passes = []
+
+    def recording(fh, labels, pieces):
+        passes.append([(index, first, len(values)) for index, first, values in pieces])
+        write_pass(fh, labels, pieces)
+
+    monkeypatch.setattr(floatcsv_module, "_write_pass", recording)
+    return passes
+
+
+def pass_rows(passes):
+    return [sum(rows for _, _, rows in p) for p in passes]
+
+
+def full_passes(n_rows, step):
+    """The rows of each pass when ``n_rows`` rows are cut in passes of ``step``."""
+    return [min(step, n_rows - i) for i in range(0, n_rows, step)]
+
+
+@pytest.mark.parametrize("block", [1, 5, 7])
+class TestWriterPasses:
+    """Passes of at most ``_BLOCK`` floats that run on across blocks reproduce
+    the csv.writer oracles byte for byte."""
+
+    def test_one_d_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(floatcsv_module, "_BLOCK", block)
+        passes = record_passes(monkeypatch)
+        x = np.array(EDGE_FLOATS)
+        snapshots = [(0, x), (7, x[::-1].copy()), (8, -x)]
+        TestWriterBytes().assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, snapshots, range(5))
+        assert pass_rows(passes) == full_passes(15, block)
+
+    def test_two_d_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(floatcsv_module, "_BLOCK", block)
+        passes = record_passes(monkeypatch)
+        x = np.array(TestWriterBytes.FORMAT_EDGES)
+        sections = np.stack([np.stack([x, -x[::-1]], axis=-1), np.stack([-x, x[::-1]], axis=-1)])
+        TestWriterBytes().assert_same_bytes(tmp_path, write_sos_csv, oracle_sos_csv, sections)
+        # two floats a row: a pass holds _BLOCK // 2 rows, but never less than one
+        assert pass_rows(passes) == full_passes(18, max(1, block // 2))
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_heads_of_several_widths(self, tmp_path, monkeypatch, block, split):
+        monkeypatch.setattr(floatcsv_module, "_BLOCK", block)
+        passes = record_passes(monkeypatch)
+        labels = np.array([-12, -1])
+        snapshots = [(i, np.array([0.1 * i, -2.5])) for i in (9, 10, 99, 100, 10**6)]
+        batches = [snapshots[:3], snapshots[3:]] if split else [snapshots]
+        oracle_dist_csv(tmp_path / "old.csv", snapshots, labels)
+        with (tmp_path / "new.csv").open("wb") as fh:
+            write_csv(fh, "period,site,probability", labels, batches)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        # a pass ends with its batch, and runs on across blocks within it
+        expected = full_passes(6, block) + full_passes(4, block) if split else full_passes(10, block)
+        assert pass_rows(passes) == expected
+        if block > 1:
+            # one pass holds a one-word head, "\r\n100,", and a two-word head, "\r\n1000000,"
+            assert any({100, 10**6} <= {index for index, _, _ in p} for p in passes)
+        if not split:
+            # a block split over two passes: its second piece starts at row 1
+            assert any(first == 1 for p in passes for _, first, _ in p)
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -865,6 +932,24 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2 and all(Path(line).exists() for line in out)
+
+    def test_small_ring_spike_scan_warns_nothing(self, tmp_path, capsys):
+        # every site of an 8-site ring lies in a spike's own mass window, so none
+        # is background; the scan used to take the median of an empty slice
+        cfg = small_single_kick(
+            tmp_path,
+            chain={"n_sites": 8, "j1": 1.0, "kick_center": 0},
+            schedule={"b_kick": 0.1, "period": 1.0},
+            n_periods=3,
+            snapshot_every=1,
+            initial={"delta_site": 4},
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["warnings"] == [] and report["spikes"] == []
 
     def test_run_resource_cap_exits_1(self, tmp_path, capsys):
         cfg = small_single_kick(tmp_path)
