@@ -1,11 +1,12 @@
 """The bounds on a run's size, in-memory result, work and phases.
 
-A run holds its whole result in memory before writing it: the snapshots of a
-propagation, the record array of an ensemble, the points of a section.  Each
-is sized and checked against ``MAX_RESULT_BYTES`` before it is allocated.  A
-run's work, in element-steps (basis states times periods, trajectories times
-map steps, with each period or step counted as at least ``_MIN_ELEMENTS``),
-is checked against ``MAX_WORK`` before the first step.  The bounds are fixed;
+A run holds its whole result in memory: every snapshot of a propagation,
+which the record keeps though the CSV streams out during the run, the record
+array of an ensemble, the points of a section.  Each is sized and checked
+against ``MAX_RESULT_BYTES`` before it is allocated.  A run's work, in
+element-steps (basis states times periods, trajectories times map steps, with
+each period or step counted as at least ``_MIN_ELEMENTS``), is checked
+against ``MAX_WORK`` before the first step.  The bounds are fixed;
 the checks take plain numbers, so the config validator runs them too.
 """
 

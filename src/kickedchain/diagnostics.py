@@ -46,16 +46,21 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
     Values lie in [-n_sites//2, (n_sites-1)//2]; for even chains the
     antipodal site is assigned -n_sites//2.
     """
-    check_integers(s0=s0)
+    check_integers(n_sites=n_sites, s0=s0)
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
     # reduced first, an integer identity, so that no centre overflows int64
-    s0 = operator.index(s0) % n_sites if n_sites else 0
+    s0 = operator.index(s0) % operator.index(n_sites)
     s = np.arange(n_sites)
     return (s - s0 + n_sites // 2) % n_sites - n_sites // 2
 
 
 def _check_probability(p) -> np.ndarray:
     p = to_array(p, "p")
-    total = p.sum()
+    if p.ndim != 1:
+        raise ValueError(f"p must be 1-D, one probability per site, got shape {p.shape}")
+    with np.errstate(invalid="ignore"):  # inf and -inf sum to NaN, refused here
+        total = p.sum()
     if not abs(total - 1.0) <= PROBABILITY_TOL:  # also rejects a NaN total
         raise ValueError(
             f"probabilities sum to {float(total)!r}, expected 1 within {PROBABILITY_TOL}"
@@ -103,9 +108,9 @@ def fit_localization_length(p, s0: int, fit_window: tuple[float, float]) -> Loca
     Regresses ln P against |s - s0| on each wing over displacements in
     ``fit_window``; the decay length is -2 / (mean wing slope).  Sites with
     probability at the floating-point floor are dropped; fewer than 10 usable
-    points in total is an error.
+    points in total is an error, as is a ``p`` that is not a distribution.
     """
-    p = to_array(p, "p")
+    p = _check_probability(p)
     n = len(p)
     d_min, d_max = fit_window
     if not 0 <= d_min < d_max or d_max >= n / 2:

@@ -458,16 +458,6 @@ def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
         raise failed[0]
 
 
-def _propagation_report(cfg, record, s0) -> dict:
-    """Shared stats plus the scenario's keys; warnings: its own, then caught, then the record's."""
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        variance, participation = distribution_stats(record.final_distribution, s0)
-        keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0)
-    warnings = keys.pop("warnings", []) + [str(w.message) for w in caught] + record.warnings
-    return dict(variance=variance, participation_ratio=participation, **keys, warnings=warnings)
-
-
 def _chain_keys(s0, **computed) -> dict:
     """A chain report's own keys; those a scenario does not compute stay empty."""
     empty = dict(loc_length=None, loc_fit_r2=None, spikes=[], spike_speeds={}, cell_occupancy=None)
@@ -485,7 +475,7 @@ def _localization(cfg, record, s0) -> dict:
             keys["loc_length"] = fit.length if math.isfinite(fit.length) else None
             keys["loc_fit_r2"] = fit.r_squared
         except ValueError as exc:
-            keys["warnings"] = [f"localization fit skipped: {exc}"]
+            _warnings.warn(f"localization fit skipped: {exc}")
     if schedule["b_kick"] > 0 and len(record.snapshots) >= 3:
         left, right = detect_accelerator_modes(record, schedule["b_kick"], chain["kick_center"])
         for track in (left, right):
@@ -505,45 +495,46 @@ def _trapping(cfg, record, s0) -> dict:
 
 
 def _double_kick_trapping(cfg, record, s0) -> dict:
-    own = []
     if cfg["schedule"]["b_strong"] <= cfg["schedule"]["b_weak"]:
-        own.append(
+        _warnings.warn(
             "b_strong <= b_weak: cellular trapping assumes the second kick is"
             " much stronger than the first"
         )
-    return {**_trapping(cfg, record, s0), "warnings": own}
+    return _trapping(cfg, record, s0)
 
 
 def _rotor(cfg, record, s0) -> dict:
     return {"initial_momentum": cfg["rotor"]["initial_momentum"]}
 
 
-def _dist_stream(outputs, labels):
-    """The CSV of a propagation, fed one block of probabilities per snapshot as it is taken."""
-    return _csv_stream(outputs, "_dist.csv", "period,site,probability", labels)
+def _propagate(cfg, outputs, labels, s0, engine, *args, **kwargs) -> dict:
+    """Run ``engine(*args, **kwargs)`` for the config's periods, streaming each snapshot to
+    ``_dist.csv``; the report's warnings are those raised while building it, then the record's."""
+    kwargs.update(n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
+    with _csv_stream(outputs, "_dist.csv", "period,site,probability", labels) as put:
+        record = engine(*args, **kwargs, on_snapshot=put)
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        variance, participation = distribution_stats(record.final_distribution, s0)
+        keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0)
+    warnings = [str(w.message) for w in caught] + record.warnings
+    return dict(variance=variance, participation_ratio=participation, **keys, warnings=warnings)
 
 
 def _run_chain(cfg, outputs):
     _bind_engine()
     chain, schedule = ChainConfig(**cfg["chain"]), _schedule(cfg)
-    if "delta_site" in cfg["initial"]:
-        s0 = cfg["initial"]["delta_site"]
-        state = delta_state(chain.n_sites, s0)
-    else:
-        s0 = chain.kick_center
-        state = magnon_state(chain.n_sites, cfg["initial"]["magnon_m"])
-    with _dist_stream(outputs, range(chain.n_sites)) as put:
-        record = evolve(state, chain, schedule, cfg["n_periods"], cfg["snapshot_every"], on_snapshot=put)
-    return _propagation_report(cfg, record, s0)
+    s0, m = cfg["initial"].get("delta_site", chain.kick_center), cfg["initial"].get("magnon_m")
+    state = delta_state(chain.n_sites, s0) if m is None else magnon_state(chain.n_sites, m)
+    return _propagate(cfg, outputs, range(chain.n_sites), s0, evolve, state, chain, schedule)
 
 
 def _run_qkr(cfg, outputs):
     _bind_engine()
-    rotor, every = cfg["rotor"], cfg["snapshot_every"]
+    rotor = cfg["rotor"]
     lo = rotor["initial_momentum"] - rotor["n_basis"] // 2
-    with _dist_stream(outputs, range(lo, lo + rotor["n_basis"])) as put:
-        record = qkr_evolve(**rotor, n_periods=cfg["n_periods"], snapshot_every=every, on_snapshot=put)
-    return _propagation_report(cfg, record, rotor["n_basis"] // 2)
+    labels = range(lo, lo + rotor["n_basis"])
+    return _propagate(cfg, outputs, labels, rotor["n_basis"] // 2, qkr_evolve, **rotor)
 
 
 def _run_classical(cfg, outputs):
@@ -580,7 +571,8 @@ class _Scenario(NamedTuple):
     its validator, which fills in the resolved config; its runner
     ``run(cfg, outputs)``, which writes its CSV, if any, through
     ``_csv_stream(outputs, ...)`` and returns the report; and for a
-    propagation ``diagnose(cfg, record, s0)``, the report's own keys."""
+    propagation ``diagnose(cfg, record, s0)``, the report's own keys; it
+    raises its notes for the report with ``warnings.warn``."""
 
     fields: tuple
     validate: Callable

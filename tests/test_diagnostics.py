@@ -84,8 +84,42 @@ class TestDistributionStats:
         np.testing.assert_array_equal(cyclic_displacements(64, s0), cyclic_displacements(64, site))
         assert distribution_stats(p, s0) == distribution_stats(p, site)
 
-    def test_empty_ring_has_no_displacements(self):
-        assert cyclic_displacements(0, 10**20).size == 0
+    @pytest.mark.parametrize("n_sites", [0, -4])
+    def test_empty_ring_is_refused(self, n_sites):
+        # 0 used to return no displacements, and -4 an empty array
+        with pytest.raises(ValueError, match=f"n_sites must be >= 1, got {n_sites}"):
+            cyclic_displacements(n_sites, 10**20)
+
+    @pytest.mark.parametrize("n_sites", [4.0, True])
+    def test_fractional_ring_is_refused(self, n_sites):
+        # 4.0 used to return the floats [0., 1., -2., -1.]
+        with pytest.raises(TypeError, match="n_sites must be an integer"):
+            cyclic_displacements(n_sites, 0)
+
+    def test_numpy_ring_size_takes_a_huge_center(self):
+        np.testing.assert_array_equal(
+            cyclic_displacements(np.int64(8), 10**20), cyclic_displacements(8, 10**20 % 8)
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: distribution_stats(p, 3),
+            lambda p: cell_occupancy(p, 0.5, 3),
+            lambda p: fit_localization_length(p, 3, (1.0, 3.0)),
+        ],
+        ids=["distribution_stats", "cell_occupancy", "fit_localization_length"],
+    )
+    def test_rejects_two_dimensional(self, call):
+        # an 8 x 8 table read as an 8-site ring: distribution_stats returned
+        # (5.40, 11.63), cell_occupancy a ring's occupancy, the fit IndexError
+        with pytest.raises(ValueError, match=r"p must be 1-D, .* got shape \(8, 8\)"):
+            call(np.full(64, 1 / 64).reshape(8, 8))
+
+    def test_opposite_infinities_are_refused_without_warning(self):
+        # inf + -inf used to warn "invalid value encountered in reduce"
+        with pytest.raises(ValueError, match="probabilities sum to nan"):
+            distribution_stats([np.inf, -np.inf], 0)
 
     @given(shift=st.integers(min_value=0, max_value=255))
     @settings(max_examples=30, deadline=None)
@@ -125,6 +159,15 @@ class TestLocalizationFit:
         p[128] = 1.0
         with pytest.raises(ValueError, match="insufficient"):
             fit_localization_length(p, 128, (10.0, 20.0))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -0.5])
+    def test_rejects_a_distribution_that_is_not_one(self, value):
+        # read as a bare array, an inf used to warn "invalid value encountered
+        # in subtract" from the wing fit
+        p = two_sided_exponential(256, 128, 20.0)
+        p[120] = value
+        with pytest.raises(ValueError, match="probabilities"):
+            fit_localization_length(p, 128, (5.0, 60.0))
 
     def test_rejects_bad_window(self):
         p = two_sided_exponential(256, 128, 20.0)

@@ -552,9 +552,8 @@ class TestRunScenario:
         assert report["pulse_max_au"] > 0
 
     def test_unencodable_report_leaves_no_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            scenario_module, "_propagation_report", lambda *args: {"variance": float("nan")}
-        )
+        # a NaN variance makes the report unencodable
+        monkeypatch.setattr(scenario_module, "distribution_stats", lambda *args: (float("nan"), 1.0))
         with pytest.raises(ValueError, match="JSON compliant"):
             run_scenario(small_single_kick(tmp_path, output=str(tmp_path / "deep" / "run")))
         assert list(tmp_path.iterdir()) == []
@@ -626,7 +625,7 @@ class TestStreamedWrite:
             fail_second_block(monkeypatch)
         else:
             monkeypatch.setattr(
-                scenario_module, "_propagation_report", lambda *args: {"variance": float("nan")}
+                scenario_module, "distribution_stats", lambda *args: (float("nan"), 1.0)
             )
         assert main(["run", "--config", str(path)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -745,6 +744,35 @@ class TestReportShape:
         saturated = [w for w in report["warnings"] if "occupancy saturates" in w]
         assert report["warnings"][1:] == saturated
         assert len(saturated) == (b_weak < 0.1)
+        assert result["warnings"] == report["warnings"]
+
+    def test_skipped_fit_message_comes_first(self, tmp_path, monkeypatch):
+        # period 2 puts the localization window at 1 <= |d| <= 3, 6 sites where
+        # the fit needs 10; a warning of the spike scan, raised after the fit,
+        # follows the skip message, and the record's warnings come last
+        evolve, detect = scenario_module.evolve, scenario_module.detect_accelerator_modes
+
+        def noted_evolve(*args, **kwargs):
+            record = evolve(*args, **kwargs)
+            record.warnings.append("record note")
+            return record
+
+        def noted_detect(*args):
+            warnings.warn("spike note")
+            return detect(*args)
+
+        monkeypatch.setattr(scenario_module, "evolve", noted_evolve)
+        monkeypatch.setattr(scenario_module, "detect_accelerator_modes", noted_detect)
+        cfg = shape_config(tmp_path, "single_kick")
+        cfg["schedule"]["period"] = 2.0
+        result = run_scenario(cfg)
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["warnings"] == [
+            "localization fit skipped: insufficient data: 6 usable sites in window, need >= 10",
+            "spike note",
+            "record note",
+        ]
+        assert report["loc_length"] is None and report["loc_fit_r2"] is None
         assert result["warnings"] == report["warnings"]
 
 
