@@ -52,9 +52,14 @@ def to_float(v) -> float:
 
 def to_array(values, name: str, dtype=float, copy=None):
     """``numpy.array(values, dtype, copy=copy)``; an integer beyond the float range in
-    ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``."""
+    ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``, and
+    text (``str`` or ``bytes``, alone or in an array), which numpy would parse, a ``TypeError``."""
     import numpy as np  # here, so that the config validator loads no numpy
 
+    values = np.asarray(values)
+    items = values.flat if values.dtype == object else ()
+    if values.dtype.kind in "SU" or any(isinstance(v, (str, bytes)) for v in items):
+        raise TypeError(f"{name} must hold numbers, not text")
     try:
         return np.array(values, dtype=dtype, copy=copy)
     except OverflowError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import PROBABILITY_TOL, check_integers, check_reals, to_array
+from ._limits import PROBABILITY_TOL, check_integers, check_reals, check_result_bytes, to_array
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -49,6 +49,7 @@ def cyclic_displacements(n_sites: int, s0: int) -> np.ndarray:
     check_integers(n_sites=n_sites, s0=s0)
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    check_result_bytes(8 * n_sites, f"the displacements of {n_sites} sites")
     # reduced first, an integer identity, so that no centre overflows int64
     s0 = operator.index(s0) % operator.index(n_sites)
     s = np.arange(n_sites)
@@ -200,20 +201,23 @@ def detect_accelerator_modes(
     above the median background around it.  Qualifying spikes are accumulated
     into a left and a right track with the per-spike mass summed over a
     +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
-    just leaves the track empty.
+    just leaves the track empty.  Each snapshot must be a distribution, as in
+    :func:`distribution_stats`, and all of one length.
     """
     check_reals(0, True, b_kick=b_kick)
     if len(record.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track spikes")
-
-    n = len(record.snapshots[0][1])
+    snapshots = [(period, _check_probability(p)) for period, p in record.snapshots]
+    n = len(snapshots[0][1])
+    if any(len(p) != n for _, p in snapshots):
+        raise ValueError(f"snapshots must all have one length, the first has {n}")
     d = cyclic_displacements(n, center)
     band_radius = int(min(max(2.0 * np.pi / b_kick, 5), n // 4))
     band = np.abs(d) <= band_radius
 
     left = SpikeTrack(side="left")
     right = SpikeTrack(side="right")
-    for period, p in record.snapshots:
+    for period, p in snapshots:
         threshold = THRESHOLD_FACTOR * float(np.median(p[band]))
         for track, mask in ((left, d < 0), (right, d > 0)):
             site = _outermost_spike(p, d, mask, threshold)

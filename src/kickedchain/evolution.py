@@ -14,7 +14,7 @@ routes can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +34,21 @@ __all__ = [
 # Resource cap of the dense oracle route.
 MAX_DENSE_SITES = 4096
 
-# Edge probability above which a truncated rotor basis is considered leaky.
-QKR_LEAK_THRESHOLD = 1e-6
-
 
 @dataclass
 class PropagationRecord:
     """Snapshots of the site-probability distribution along one evolution.
 
     ``snapshots`` holds (period index, |amplitudes|**2) pairs; period 0 and
-    the final period are always present.  ``warnings`` collects soft
-    diagnostics such as basis-truncation leakage.
+    the final period are always present.  ``max_edge`` is the largest
+    |a[0]|**2 + |a[-1]|**2 of the amplitudes after any period, recorded or
+    not, and at period 0: a rotor's edge probability, or a chain's
+    probability on its first and last sites.
     """
 
     snapshots: list[tuple[int, np.ndarray]]
     final_state: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    max_edge: float
 
     @property
     def final_distribution(self) -> np.ndarray:
@@ -69,54 +68,36 @@ def _parabola(strength: float, n: int, center: int) -> np.ndarray:
 
 
 def _kick_phases(schedule: KickSchedule, n: int, center: int) -> list[np.ndarray]:
-    """Per-period list of diagonal kick phase arrays, in application order."""
+    """Per-period kick phase arrays, in order, of a schedule that check_chain_phases admits."""
     if isinstance(schedule, SingleKick):
         return [_parabola(schedule.b_kick, n, center)]
     if isinstance(schedule, DoubleKick):
         return [_parabola(schedule.b_weak, n, center), _parabola(schedule.b_strong, n, center)]
-    if isinstance(schedule, RandomDoubleKick):
-        frozen = np.exp(-1j * uniform(Seed(schedule.seed), n, (0.0, 2.0 * np.pi))[0])
-        return [_parabola(schedule.b_weak, n, center), frozen]
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+    frozen = np.exp(-1j * uniform(Seed(schedule.seed), n, (0.0, 2.0 * np.pi))[0])
+    return [_parabola(schedule.b_weak, n, center), frozen]
 
 
-def _split_step(amps, steps, forward: str, n_periods: int, snapshot_every: int, emit):
-    """Run ``n_periods`` periods of split-operator ``steps`` on ``amps``.
+def _split_step(amps, period, n_periods: int, snapshot_every: int, emit) -> PropagationRecord:
+    """Run ``n_periods`` periods of the operations ``period`` on ``amps``, in place.
 
-    A period runs each step ``(before, between, after)`` in order: multiply by
-    ``before`` (own basis, or None), transform by ``forward`` ("fft" or
-    "ifft"), multiply by ``between`` (conjugate basis), transform back,
-    multiply by ``after`` (own basis, or None).  Every period runs in place
-    on ``amps``, which the caller hands over; snapshots are fresh arrays,
-    each passed to ``emit(period, probabilities)``, if given, as it is taken.
-    Returns the record and the largest |amps[0]|**2 + |amps[-1]|**2 of any
-    period.
+    Each operation is ``np.fft.fft`` or ``np.fft.ifft``, which transforms
+    ``amps`` in place, or a phase array to multiply it by.  ``amps`` is the
+    caller's to hand over; snapshots are fresh arrays, each passed to
+    ``emit(period, probabilities)``, if given, as it is taken.
     """
-    fwd, inv = (np.fft.fft, np.fft.ifft) if forward == "fft" else (np.fft.ifft, np.fft.fft)
-    snapshots = []
-
-    def snap(t):
-        prob = np.abs(amps) ** 2
-        snapshots.append((t, prob))
-        if emit is not None:
-            emit(t, prob)
-        return prob
-
-    prob = snap(0)
-    max_edge = float(prob[0] + prob[-1])
-    for t in range(1, n_periods + 1):
-        for before, between, after in steps:
-            if before is not None:
-                np.multiply(amps, before, out=amps)
-            fwd(amps, out=amps)
-            np.multiply(amps, between, out=amps)
-            inv(amps, out=amps)
-            if after is not None:
-                np.multiply(amps, after, out=amps)
+    snapshots, max_edge = [], 0.0
+    for t in range(n_periods + 1):
+        for op in period if t else ():  # period 0 is the initial state
+            if isinstance(op, np.ndarray):
+                np.multiply(amps, op, out=amps)
+            else:
+                op(amps, out=amps)
         max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
         if t % snapshot_every == 0 or t == n_periods:
-            snap(t)
-    return PropagationRecord(snapshots=snapshots, final_state=amps), max_edge
+            snapshots.append((t, np.abs(amps) ** 2))
+            if emit is not None:
+                emit(*snapshots[-1])
+    return PropagationRecord(snapshots=snapshots, final_state=amps, max_edge=max_edge)
 
 
 def evolve(
@@ -142,19 +123,20 @@ def evolve(
     its first period never calls it, and an exception it raises ends the run
     and propagates with no further call.
     """
+    check_chain_phases(config, schedule)
     n = config.n_sites
     if len(state) != n:
         raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
     check_propagation(n, n_periods, snapshot_every)
-    check_chain_phases(config, schedule)
     amps = to_array(state, "state", complex, copy=True)
     norm2 = float(np.vdot(amps, amps).real)
     if not abs(norm2 - 1.0) <= PROBABILITY_TOL:  # also refuses NaN and inf
         raise ValueError(f"state norm**2 is {norm2!r}; it must be 1 within {PROBABILITY_TOL}")
 
     exchange = _exchange_phases(config, schedule.period)
-    steps = [(None, exchange, kick) for kick in _kick_phases(schedule, n, config.kick_center)]
-    return _split_step(amps, steps, "fft", n_periods, snapshot_every, on_snapshot)[0]
+    kicks = _kick_phases(schedule, n, config.kick_center)
+    period = [op for kick in kicks for op in (np.fft.fft, exchange, np.fft.ifft, kick)]
+    return _split_step(amps, period, n_periods, snapshot_every, on_snapshot)
 
 
 def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
@@ -164,10 +146,10 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
     exp(-i*E(k_m)*period), evaluated by explicit summation over the
     wavenumber grid; kicks multiply rows by their diagonal phases.
     """
+    check_chain_phases(config, schedule)
     n = config.n_sites
     if n > MAX_DENSE_SITES:
         raise LimitError(f"n_sites {n} exceeds dense cap {MAX_DENSE_SITES}")
-    check_chain_phases(config, schedule)
 
     ks = wavenumber_grid(n)
     weights = np.exp(-1j * dispersion(config, ks) * schedule.period) / n
@@ -176,9 +158,8 @@ def build_floquet(config: ChainConfig, schedule: KickSchedule) -> np.ndarray:
     r, s = np.indices((n, n))
     exchange = kernel[r - s + n - 1]
 
-    kicks = _kick_phases(schedule, n, config.kick_center)
     u = np.eye(n, dtype=complex)
-    for kick in kicks:
+    for kick in _kick_phases(schedule, n, config.kick_center):
         u = kick[:, None] * (exchange @ u)
     return u
 
@@ -199,9 +180,9 @@ def qkr_evolve(
     ``initial_momentum``; distributions are indexed by array position
     a = 0..n_basis-1, i.e. momentum l = initial_momentum + a - n_basis//2.
     Per period: free rotation exp(-i*hbar/2*l^2), then the cosine kick of
-    strength k applied on the angle grid.  If the edge probability exceeds
-    1e-6 after any period, recorded or not, a truncation-leakage warning is
-    attached to the record.  ``on_snapshot`` is called as in :func:`evolve`.
+    strength k applied on the angle grid.  The record's ``max_edge`` is the
+    largest edge probability after any period, which measures how much the
+    truncation leaks.  ``on_snapshot`` is called as in :func:`evolve`.
     """
     check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every)
 
@@ -210,12 +191,6 @@ def qkr_evolve(
     x = 2.0 * np.pi * np.arange(n_basis) / n_basis
     kick_phases = np.exp(1j * (k / hbar) * np.cos(x))
 
-    steps = [(free_phases, kick_phases, None)]
+    period = (free_phases, np.fft.ifft, kick_phases, np.fft.fft)
     amps = delta_state(n_basis, n_basis // 2)
-    record, max_edge = _split_step(amps, steps, "ifft", n_periods, snapshot_every, on_snapshot)
-    if max_edge > QKR_LEAK_THRESHOLD:
-        record.warnings.append(
-            f"momentum-basis truncation leakage: edge probability {max_edge:.3e} "
-            f"exceeds {QKR_LEAK_THRESHOLD:.0e}"
-        )
-    return record
+    return _split_step(amps, period, n_periods, snapshot_every, on_snapshot)

@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _streams
-from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers, to_array
+from ._limits import MAX_ENSEMBLE, check_ensemble, check_integers, check_reals, to_array
 from .specs import (
     DoubleKickMap,
     DoubleWellMap,
@@ -86,7 +86,8 @@ def _step(x, p, spec: MapSpec, draws=None):
 
 
 def map_step(x: float, p: float, spec: MapSpec, rng: np.random.Generator | None = None):
-    """Advance a single phase point by one full period of the map."""
+    """Advance a single phase point, finite reals ``x`` and ``p``, by one full period of the map."""
+    check_reals(x=x, p=p)
     draws = None
     if isinstance(spec, RandomRescaledDoubleKickMap):
         if rng is None:

@@ -56,6 +56,8 @@ _MAPS = {
     "rescaled_double_kick_random": RandomRescaledDoubleKickMap,
     "double_well": DoubleWellMap,
 }
+# Edge probability above which a rotor's truncated momentum basis is reported as leaky.
+QKR_LEAK_THRESHOLD = 1e-6
 
 
 # The runners' callees from the numeric modules.  Those load numpy, which
@@ -504,12 +506,17 @@ def _double_kick_trapping(cfg, record, s0) -> dict:
 
 
 def _rotor(cfg, record, s0) -> dict:
+    if record.max_edge > QKR_LEAK_THRESHOLD:
+        _warnings.warn(
+            f"momentum-basis truncation leakage: edge probability {record.max_edge:.3e} "
+            f"exceeds {QKR_LEAK_THRESHOLD:.0e}"
+        )
     return {"initial_momentum": cfg["rotor"]["initial_momentum"]}
 
 
 def _propagate(cfg, outputs, labels, s0, engine, *args, **kwargs) -> dict:
     """Run ``engine(*args, **kwargs)`` for the config's periods, streaming each snapshot to
-    ``_dist.csv``; the report's warnings are those raised while building it, then the record's."""
+    ``_dist.csv``; the report's warnings are those raised while building it."""
     kwargs.update(n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
     with _csv_stream(outputs, "_dist.csv", "period,site,probability", labels) as put:
         record = engine(*args, **kwargs, on_snapshot=put)
@@ -517,7 +524,7 @@ def _propagate(cfg, outputs, labels, s0, engine, *args, **kwargs) -> dict:
         _warnings.simplefilter("always")
         variance, participation = distribution_stats(record.final_distribution, s0)
         keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0)
-    warnings = [str(w.message) for w in caught] + record.warnings
+    warnings = [str(w.message) for w in caught]
     return dict(variance=variance, participation_ratio=participation, **keys, warnings=warnings)
 
 

@@ -26,6 +26,7 @@ from kickedchain import (
     fit_localization_length,
     iterate_ensemble,
     magnon_state,
+    map_step,
     qkr_evolve,
     rotor_image,
     surface_of_section,
@@ -331,13 +332,14 @@ HUGE = 10**400
         (lambda: distribution_stats([HUGE, 0], 0), "p"),
         (lambda: cell_occupancy([HUGE, 0], 0.1, 0), "p"),
         (lambda: fit_localization_length([HUGE] * 40, 0, (1, 5)), "p"),
+        (lambda: map_step(0.0, HUGE, StandardMap(1.0)), "p"),
     ],
     ids=[
         "ChainConfig-j1", "SingleKick-b_kick", "DoubleKick-b_strong", "RandomDoubleKick-period",
         "qkr_evolve-k", "qkr_evolve-hbar", "detect_accelerator_modes-b_kick",
         "cell_occupancy-b_weak", "feasibility-j_hz", "iterate_ensemble-x0", "iterate_ensemble-p0",
         "surface_of_section-x0", "surface_of_section-p0", "evolve-state", "distribution_stats-p",
-        "cell_occupancy-p", "fit_localization_length-p",
+        "cell_occupancy-p", "fit_localization_length-p", "map_step-p",
     ],
 )
 def test_int_beyond_float_range_is_not_finite(call, name):
@@ -346,9 +348,40 @@ def test_int_beyond_float_range_is_not_finite(call, name):
 
 
 @pytest.mark.parametrize(
-    "call", [lambda: ChainConfig(8, j1="1.0"), lambda: SingleKick(b_kick="0.1", period=1.0)]
+    "call",
+    [
+        lambda: ChainConfig(8, j1="1.0"),
+        lambda: SingleKick(b_kick="0.1", period=1.0),
+        lambda: map_step("0.5", 0.0, StandardMap(1.0)),
+    ],
 )
 def test_string_real_is_a_type_error(call):
     # float() would parse the string; math.isfinite, the old check, refused it
     with pytest.raises(TypeError, match="must be a real number, got str"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dispersion(ChainConfig(8, 1.0), "1"), "k"),
+        (lambda: dispersion(ChainConfig(8, 1.0), np.array([b"1", b"2"])), "k"),
+        (lambda: distribution_stats(["0.5", "0.5"], 0), "p"),
+        (lambda: distribution_stats(np.array(["0.5", 0.5], dtype=object), 0), "p"),
+        (lambda: iterate_ensemble(["1"], ["0"], StandardMap(1.0), 2, 1), "x0"),
+        (lambda: evolve(["1", "0", "0", "0"], ChainConfig(4, 1.0), SingleKick(0.1, 1.0), 2), "state"),
+    ],
+    ids=["dispersion-str", "dispersion-bytes", "distribution_stats", "distribution_stats-object",
+         "iterate_ensemble", "evolve"],
+)
+def test_text_array_is_a_type_error(call, name):
+    # numpy parses digit strings: dispersion(cfg, "1") returned 0.4597
+    with pytest.raises(TypeError, match=f"^{name} must hold numbers, not text"):
+        call()
+
+
+def test_object_array_of_numbers_is_read():
+    p = np.array([0.25, 0.75], dtype=object)
+    assert distribution_stats(p, 0) == distribution_stats(p.astype(float), 0)
+    k = np.array([1, 0.5], dtype=object)
+    np.testing.assert_array_equal(dispersion(ChainConfig(8, 1.0), k), 1.0 - np.cos([1.0, 0.5]))

@@ -17,6 +17,7 @@ from kickedchain import (
     evolve,
     fit_localization_length,
 )
+from kickedchain._limits import LimitError
 
 
 def two_sided_exponential(n, s0, length):
@@ -94,6 +95,12 @@ class TestDistributionStats:
     def test_fractional_ring_is_refused(self, n_sites):
         # 4.0 used to return the floats [0., 1., -2., -1.]
         with pytest.raises(TypeError, match="n_sites must be an integer"):
+            cyclic_displacements(n_sites, 0)
+
+    @pytest.mark.parametrize("n_sites", [10**13, 2**62])
+    def test_huge_ring_is_over_the_result_cap(self, n_sites):
+        # 10**13 raised numpy's MemoryError ("72.8 TiB"), 2**62 a numpy ValueError
+        with pytest.raises(LimitError, match=f"the displacements of {n_sites} sites would take"):
             cyclic_displacements(n_sites, 0)
 
     def test_numpy_ring_size_takes_a_huge_center(self):
@@ -195,7 +202,8 @@ def synthetic_spike_record(n=2048, center=1024, speed=94, n_periods=6, spike_mas
                 p = p + spike_mass * bump / bump.sum()
         p /= p.sum()
         snapshots.append((t, p))
-    return PropagationRecord(snapshots=snapshots, final_state=np.sqrt(snapshots[-1][1]))
+    max_edge = max(p[0] + p[-1] for _, p in snapshots)
+    return PropagationRecord(snapshots, final_state=np.sqrt(snapshots[-1][1]), max_edge=max_edge)
 
 
 class TestAcceleratorDetector:
@@ -220,6 +228,7 @@ class TestAcceleratorDetector:
                 (t, np.roll(p[::-1], 2 * center + 1)) for t, p in record.snapshots
             ],
             final_state=record.final_state,
+            max_edge=record.max_edge,
         )
         l1, r1 = detect_accelerator_modes(record, b_kick=2 * np.pi / 94, center=center)
         l2, r2 = detect_accelerator_modes(mirrored, b_kick=2 * np.pi / 94, center=center)
@@ -248,6 +257,21 @@ class TestAcceleratorDetector:
         record = synthetic_spike_record()
         with pytest.raises(ValueError, match="b_kick must be finite and > 0"):
             detect_accelerator_modes(record, b_kick=b_kick, center=1024)
+
+    def test_rejects_ragged_snapshots(self):
+        # a shorter snapshot used to raise IndexError
+        record = synthetic_spike_record()
+        record.snapshots[2] = (2, np.full(1024, 1 / 1024))
+        with pytest.raises(ValueError, match="snapshots must all have one length, the first has 2048"):
+            detect_accelerator_modes(record, b_kick=2 * np.pi / 94, center=1024)
+
+    @pytest.mark.parametrize("fill, total", [(np.nan, "nan"), (320 / 2048, "320.0")])
+    def test_rejects_snapshots_that_are_not_distributions(self, fill, total):
+        # these returned two empty tracks
+        record = synthetic_spike_record()
+        record.snapshots[:] = [(t, np.full(2048, fill)) for t, _ in record.snapshots]
+        with pytest.raises(ValueError, match=f"probabilities sum to {total}"):
+            detect_accelerator_modes(record, b_kick=2 * np.pi / 94, center=1024)
 
 
 class TestCellOccupancy:

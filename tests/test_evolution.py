@@ -16,6 +16,7 @@ from kickedchain import (
     DoubleKick,
     RandomDoubleKick,
     SingleKick,
+    StandardMap,
     build_floquet,
     delta_state,
     evolve,
@@ -292,11 +293,11 @@ class TestQkrEvolve:
 
     def test_truncation_leakage_flagged(self):
         rec = qkr_evolve(0, k=4.0, hbar=0.2, n_periods=10, n_basis=16)
-        assert any("leakage" in w for w in rec.warnings)
+        assert rec.max_edge > 1e-6
 
     def test_no_leakage_warning_when_contained(self):
         rec = qkr_evolve(0, k=1.0, hbar=1.0, n_periods=5, n_basis=256)
-        assert rec.warnings == []
+        assert rec.max_edge <= 1e-6
 
     def test_leak_between_snapshots_flagged(self):
         # hbar = 2*pi is the antiresonance: free rotation shifts the angle by
@@ -308,7 +309,7 @@ class TestQkrEvolve:
         )
         assert [t for t, _ in rec.snapshots] == [0, 2]
         assert max(p[0] + p[-1] for _, p in rec.snapshots) < 1e-6
-        assert any("leakage" in w for w in rec.warnings)
+        assert rec.max_edge > 1e-6
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -621,6 +622,27 @@ class TestScheduleValidation:
     def test_rejects_non_finite(self, ctor):
         with pytest.raises(ValueError, match="must be finite"):
             ctor()
+
+
+RING8, KICK8 = ChainConfig(8, 1.0), SingleKick(0.1, 1.0)
+
+
+class TestChainArgumentTypes:
+    # each used to raise AttributeError on a missing field
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda s: evolve(s, RING8, StandardMap(1.0), 1), "schedule .* got StandardMap"),
+            (lambda s: build_floquet(RING8, None), "schedule must be a kick schedule, got NoneType"),
+            (lambda s: evolve(s, "cfg", KICK8, 1), "config must be a ChainConfig, got str"),
+            (lambda s: build_floquet(ChainModel.FERROMAGNET, KICK8), "config .* got ChainModel"),
+        ],
+        ids=["evolve-schedule", "build_floquet-schedule", "evolve-config", "build_floquet-config"],
+    )
+    def test_wrong_type_is_a_type_error(self, call, match):
+        with pytest.raises(TypeError, match=match):
+            call(delta_state(8, 4))
+
 
 class TestEigenstateConsistency:
     def test_magnon_state_acquires_dispersion_phase(self):

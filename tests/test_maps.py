@@ -68,6 +68,15 @@ class TestMapStep:
         with pytest.raises(ValueError):
             map_step(0.0, 0.0, RandomRescaledDoubleKickMap(k_eps=0.35))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x, p, name", [(np.nan, 0.0, "x"), (np.inf, 0.0, "x"), (0.0, -np.inf, "p")]
+    )
+    def test_rejects_non_finite_point(self, x, p, name):
+        # NaN used to step to NaN, and inf to warn "invalid value encountered in sin"
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            map_step(x, p, StandardMap(k=1.0))
+
     @pytest.mark.parametrize("spec", DETERMINISTIC_SPECS)
     def test_area_preserving(self, spec):
         # finite-difference Jacobian determinant of one step

@@ -746,22 +746,35 @@ class TestReportShape:
         assert len(saturated) == (b_weak < 0.1)
         assert result["warnings"] == report["warnings"]
 
+    @pytest.mark.parametrize(
+        "rotor, n_periods, every, edge",
+        [
+            # the antiresonance hbar = 2*pi leaks at period 1 and refocuses at 2
+            (dict(k=12 * np.pi, hbar=2 * np.pi, n_basis=16), 2, 2, "2.454e-02"),
+            (dict(k=4.0, hbar=0.2, n_basis=16), 10, 1, "2.965e-01"),
+            (dict(k=1.0, hbar=1.0, n_basis=256), 5, 1, None),
+        ],
+        ids=["antiresonance", "small-basis", "contained"],
+    )
+    def test_rotor_leak_is_reported(self, tmp_path, rotor, n_periods, every, edge):
+        cfg = shape_config(tmp_path, "qkr")
+        cfg.update(rotor={**rotor, "initial_momentum": 0}, n_periods=n_periods, snapshot_every=every)
+        result = run_scenario(cfg)
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        note = f"momentum-basis truncation leakage: edge probability {edge} exceeds 1e-06"
+        assert report["warnings"] == ([] if edge is None else [note])
+        assert result["warnings"] == report["warnings"]
+
     def test_skipped_fit_message_comes_first(self, tmp_path, monkeypatch):
         # period 2 puts the localization window at 1 <= |d| <= 3, 6 sites where
         # the fit needs 10; a warning of the spike scan, raised after the fit,
-        # follows the skip message, and the record's warnings come last
-        evolve, detect = scenario_module.evolve, scenario_module.detect_accelerator_modes
-
-        def noted_evolve(*args, **kwargs):
-            record = evolve(*args, **kwargs)
-            record.warnings.append("record note")
-            return record
+        # follows the skip message
+        detect = scenario_module.detect_accelerator_modes
 
         def noted_detect(*args):
             warnings.warn("spike note")
             return detect(*args)
 
-        monkeypatch.setattr(scenario_module, "evolve", noted_evolve)
         monkeypatch.setattr(scenario_module, "detect_accelerator_modes", noted_detect)
         cfg = shape_config(tmp_path, "single_kick")
         cfg["schedule"]["period"] = 2.0
@@ -770,7 +783,6 @@ class TestReportShape:
         assert report["warnings"] == [
             "localization fit skipped: insufficient data: 6 usable sites in window, need >= 10",
             "spike note",
-            "record note",
         ]
         assert report["loc_length"] is None and report["loc_fit_r2"] is None
         assert result["warnings"] == report["warnings"]
