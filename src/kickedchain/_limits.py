@@ -92,14 +92,22 @@ def check_integers(**values) -> None:
             raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
+def check_type(value, cls, name: str, what: str) -> None:
+    """Raise ``TypeError("<name> must be <what>, got <type>")`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be {what}, got {type(value).__name__}")
+
+
 def check_reals(lower=None, strict=False, **values) -> None:
     """Raise ``ValueError`` unless each value is finite and, if given, >= ``lower`` (> if ``strict``).
 
     A value is read with ``to_float``, so an integer beyond the float range is
-    not finite; a string, which ``float`` would parse, is a ``TypeError``.
+    not finite; a string, which ``float`` would parse, and a bool, Python's or
+    numpy's (whose type is named ``bool`` too), which ``check_integers``
+    refuses as well, are a ``TypeError``.
     """
     for name, value in values.items():
-        if isinstance(value, (str, bytes, bytearray)):
+        if isinstance(value, (str, bytes, bytearray)) or type(value).__name__ == "bool":
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
         x = to_float(value)
         if not math.isfinite(x) or (lower is not None and (x <= lower if strict else x < lower)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import check_basis, check_integers, check_reals, to_array
+from ._limits import check_basis, check_integers, check_reals, check_type, to_array
 from .specs import ChainConfig, ChainModel, _m_range
 
 __all__ = [
@@ -70,6 +70,7 @@ def dispersion(config: ChainConfig, k):
     The constant offsets (ground-state energy, uniform Zeeman term) only
     contribute a global phase to the dynamics and are excluded.
     """
+    check_type(config, ChainConfig, "config", "a ChainConfig")
     k = to_array(k, "k")
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
@@ -118,6 +119,7 @@ def rotor_image(config: ChainConfig, period: float, b_kick: float) -> RotorImage
     constant, and k = j1 * period * b_kick is the stochasticity parameter of
     the image map.  Only the plain ferromagnet maps onto the textbook rotor.
     """
+    check_type(config, ChainConfig, "config", "a ChainConfig")
     if config.model is not ChainModel.FERROMAGNET:
         raise ValueError(f"rotor image is defined for the ferromagnet, not {config.model.value}")
     check_reals(0, True, period=period)

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .feasibility import DEFAULT_T0_SECONDS, feasibility
-from .scenario import ConfigError, read_config, run_scenario, validate_config
+from .scenario import ConfigError, _checked, read_config, run_scenario, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +45,8 @@ def main(argv=None) -> int:
             for path in result["files"]:
                 print(path)
         elif args.command == "feasibility":
-            report = feasibility(args.b_range, args.sites, args.j_hz, args.t0_s)
+            # a broken rule is a config error, as in a feasibility config
+            report = _checked("config", feasibility, args.b_range, args.sites, args.j_hz, args.t0_s)
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         else:
             validate_config(read_config(args.config))

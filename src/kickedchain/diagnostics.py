@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import PROBABILITY_TOL, check_integers, check_reals, check_result_bytes, to_array
+from ._limits import (
+    PROBABILITY_TOL,
+    check_integers,
+    check_reals,
+    check_result_bytes,
+    check_type,
+    to_array,
+)
 from .evolution import PropagationRecord
 
 __all__ = [
@@ -202,12 +209,18 @@ def detect_accelerator_modes(
     into a left and a right track with the per-spike mass summed over a
     +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
     just leaves the track empty.  Each snapshot must be a distribution, as in
-    :func:`distribution_stats`, and all of one length.
+    :func:`distribution_stats`, and all of one length; the snapshot periods
+    must be integers that increase strictly, as :func:`evolve` writes them.
     """
+    check_type(record, PropagationRecord, "record", "a PropagationRecord")
     check_reals(0, True, b_kick=b_kick)
     if len(record.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track spikes")
     snapshots = [(period, _check_probability(p)) for period, p in record.snapshots]
+    periods = [period for period, _ in snapshots]
+    check_integers(**{f"the period of snapshot {i}": t for i, t in enumerate(periods)})
+    if any(later <= earlier for earlier, later in zip(periods, periods[1:])):
+        raise ValueError(f"snapshot periods must increase strictly, got {periods}")
     n = len(snapshots[0][1])
     if any(len(p) != n for _, p in snapshots):
         raise ValueError(f"snapshots must all have one length, the first has {n}")

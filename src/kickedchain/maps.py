@@ -92,6 +92,9 @@ def map_step(x: float, p: float, spec: MapSpec, rng: np.random.Generator | None 
     if isinstance(spec, RandomRescaledDoubleKickMap):
         if rng is None:
             raise ValueError("random map variant requires an rng")
+        # read as it is used, not as a np.random.Generator, which would load numpy.random
+        if not callable(getattr(rng, "uniform", None)):
+            raise TypeError(f"rng must be a random generator, got {type(rng).__name__}")
         draws = rng.uniform(0.0, TWO_PI)
     return _step(x, p, spec, draws)
 

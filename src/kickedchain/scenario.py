@@ -410,21 +410,20 @@ class _Outputs:
 
 
 @contextlib.contextmanager
-def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
-    """Write the CSV ``<prefix><suffix>`` with ``_floatcsv.write_csv`` on a second thread.
+def _csv_stream(outputs: _Outputs, labels):
+    """Write ``<prefix>_dist.csv`` with ``_floatcsv.write_csv`` on a second thread.
 
-    Yields ``put(index, values)``, which queues one block of rows, a
-    reference to ``values`` and not a copy: ``values`` is 1-D, one float per
-    row, or 2-D, one row each, and must not change once queued.  The writer
-    takes every block queued so far as one batch, which its passes run
-    across.  It is joined when the ``with`` statement ends; an error of the
-    writer is raised by the next ``put``, or there.
+    Yields ``put(period, probabilities)``, which queues one snapshot, a
+    reference to its 1-D array and not a copy, which must not change once
+    queued.  The writer takes every snapshot queued so far as one batch,
+    which its passes run across.  It is joined when the ``with`` statement
+    ends; an error of the writer is raised by the next ``put``, or there.
     """
     import queue  # here, like write_csv, so that validation does not load it
 
     from ._floatcsv import write_csv  # here, so that validation loads no numpy
 
-    path = outputs.stage(suffix)
+    path = outputs.stage("_dist.csv")
     blocks = queue.SimpleQueue()
     failed = []
 
@@ -440,7 +439,7 @@ def _csv_stream(outputs: _Outputs, suffix: str, header: str, labels):
     def write():
         try:
             with open(path, "wb") as fh:
-                write_csv(fh, header, labels, batches())
+                write_csv(fh, "period,site,probability", labels, batches())
         except Exception as exc:  # handed to the runner's thread
             failed.append(exc)
 
@@ -518,7 +517,7 @@ def _propagate(cfg, outputs, labels, s0, engine, *args, **kwargs) -> dict:
     """Run ``engine(*args, **kwargs)`` for the config's periods, streaming each snapshot to
     ``_dist.csv``; the report's warnings are those raised while building it."""
     kwargs.update(n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
-    with _csv_stream(outputs, "_dist.csv", "period,site,probability", labels) as put:
+    with _csv_stream(outputs, labels) as put:
         record = engine(*args, **kwargs, on_snapshot=put)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -554,11 +553,12 @@ def _run_classical(cfg, outputs):
     init_ss, run_ss = (Seed(cfg["seed"], (i,)) for i in range(2))
     x0, p0 = _classical_initials(cfg["initial"], init_ss)
     if "record_every" not in cfg:
+        from ._floatcsv import write_csv  # not loaded by an ensemble run, which writes no CSV
         sections = surface_of_section(x0, p0, spec, cfg["n_steps"], seed=run_ss)
         steps = range(1, sections.shape[1] + 1)
-        with _csv_stream(outputs, "_sos.csv", "trajectory,step,x,p", steps) as put:
-            for block in enumerate(sections):
-                put(*block)
+        # here: the rows exist only once the map is done, so a writer thread would overlap nothing
+        with open(outputs.stage("_sos.csv"), "wb") as fh:
+            write_csv(fh, "trajectory,step,x,p", steps, [enumerate(sections)])
         return {"n_trajectories": int(x0.size), "n_steps": cfg["n_steps"]}
     stats = iterate_ensemble(x0, p0, spec, cfg["n_steps"], cfg["record_every"], seed=run_ss)
     return {
@@ -576,8 +576,8 @@ def _run_feasibility(cfg, outputs):
 class _Scenario(NamedTuple):
     """One run type: its top-level fields besides scenario, seed and output;
     its validator, which fills in the resolved config; its runner
-    ``run(cfg, outputs)``, which writes its CSV, if any, through
-    ``_csv_stream(outputs, ...)`` and returns the report; and for a
+    ``run(cfg, outputs)``, which writes its CSV, if any, into a file that
+    ``outputs.stage`` names and returns the report; and for a
     propagation ``diagnose(cfg, record, s0)``, the report's own keys; it
     raises its notes for the report with ``warnings.warn``."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from ._limits import check_integers, check_phases, check_reals
+from ._limits import check_integers, check_phases, check_reals, check_type
 
 
 class ChainModel(str, Enum):
@@ -128,10 +128,8 @@ KickSchedule = SingleKick | DoubleKick | RandomDoubleKick
 def check_chain_phases(config: ChainConfig, schedule: KickSchedule) -> None:
     """Refuse a chain schedule whose exchange or kick phase is out of range, and a
     ``config`` or ``schedule`` of another type with ``TypeError``."""
-    if not isinstance(config, ChainConfig):
-        raise TypeError(f"config must be a ChainConfig, got {type(config).__name__}")
-    if not isinstance(schedule, KickSchedule):
-        raise TypeError(f"schedule must be a kick schedule, got {type(schedule).__name__}")
+    check_type(config, ChainConfig, "config", "a ChainConfig")
+    check_type(schedule, KickSchedule, "schedule", "a kick schedule")
     # |dispersion| is at most |j1| for the antiferromagnet (which ignores j2)
     # and at most 2 * (|j1| + |j2|) otherwise
     j1, j2 = abs(float(config.j1)), abs(float(config.j2))

@@ -364,6 +364,27 @@ def test_string_real_is_a_type_error(call):
 @pytest.mark.parametrize(
     "call, name",
     [
+        (lambda: ChainConfig(16, True), "j1"),
+        (lambda: SingleKick(True, 1.0), "b_kick"),
+        (lambda: StandardMap(True), "k"),
+        (lambda: feasibility(True, 100, 1e9), "b_range_au"),
+        (lambda: map_step(0.5, False, StandardMap(1.0)), "p"),
+        (lambda: cell_occupancy(np.full(4, 0.25), True, 0), "b_weak"),
+        (lambda: ChainConfig(16, np.True_), "j1"),
+    ],
+    ids=["ChainConfig-j1", "SingleKick-b_kick", "StandardMap-k", "feasibility-b_range_au",
+         "map_step-p", "cell_occupancy-b_weak", "ChainConfig-j1-numpy"],
+)
+def test_bool_real_is_a_type_error(call, name):
+    # each read the bool as 1.0 or 0.0, and feasibility(True, ...).to_dict()
+    # held "b_range_au": true, though check_integers and the validator refuse bools
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, got bool"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
         (lambda: dispersion(ChainConfig(8, 1.0), "1"), "k"),
         (lambda: dispersion(ChainConfig(8, 1.0), np.array([b"1", b"2"])), "k"),
         (lambda: distribution_stats(["0.5", "0.5"], 0), "p"),

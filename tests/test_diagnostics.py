@@ -273,6 +273,48 @@ class TestAcceleratorDetector:
         with pytest.raises(ValueError, match=f"probabilities sum to {total}"):
             detect_accelerator_modes(record, b_kick=2 * np.pi / 94, center=1024)
 
+    @staticmethod
+    def two_spike_record(periods, n=64, center=32):
+        """Snapshots of ``n`` sites, each a valid distribution with one spike per side
+        that moves out by two sites a snapshot, at ``periods``."""
+        snapshots = []
+        for i, t in enumerate(periods):
+            p = np.full(n, 1e-4)
+            p[[center - 14 - 2 * i, center + 14 + 2 * i]] = 0.3
+            snapshots.append((t, p / p.sum()))
+        return PropagationRecord(snapshots, final_state=np.sqrt(snapshots[-1][1]), max_edge=0.0)
+
+    def test_two_spike_record_is_tracked(self):
+        left, right = detect_accelerator_modes(self.two_spike_record((0, 1, 2)), 0.3, 32)
+        assert left.periods == right.periods == [0, 1, 2]
+        assert left.speed == pytest.approx(2.0) and right.speed == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "periods, error, match",
+        [
+            ((0, 0, 0), ValueError, r"periods must increase strictly, got \[0, 0, 0\]"),
+            ((0, np.nan, 2), TypeError, "snapshot 1 must be an integer, got float"),
+            ((0, "1", 2), TypeError, "snapshot 1 must be an integer, got str"),
+            ((2, 1, 0), ValueError, r"periods must increase strictly, got \[2, 1, 0\]"),
+            ((0, 1.5, 3), TypeError, "snapshot 1 must be an integer, got float"),
+            ((0, True, 2), TypeError, "snapshot 1 must be an integer, not bool"),
+        ],
+        ids=["repeated", "nan", "text", "decreasing", "float", "bool"],
+    )
+    def test_rejects_periods_that_are_not_increasing_integers(self, capfd, periods, error, match):
+        # repeated and NaN periods printed six LAPACK DLASCL lines on stderr
+        # and raised LinAlgError from the speed fit; the others returned
+        # tracks, the text period as the string '1' in the tracks' periods
+        with pytest.raises(error, match=match):
+            detect_accelerator_modes(self.two_spike_record(periods), 0.3, 32)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("record", [None, "record", [(0, np.full(4, 0.25))] * 3])
+    def test_rejects_a_record_of_another_type(self, record):
+        # each raised AttributeError on the missing snapshots
+        with pytest.raises(TypeError, match="^record must be a PropagationRecord, got "):
+            detect_accelerator_modes(record, 0.3, 8)
+
 
 class TestCellOccupancy:
     def test_delta_at_center(self):

@@ -19,9 +19,11 @@ from kickedchain import (
     StandardMap,
     build_floquet,
     delta_state,
+    dispersion,
     evolve,
     magnon_state,
     qkr_evolve,
+    rotor_image,
 )
 from kickedchain.evolution import _parabola
 
@@ -636,8 +638,11 @@ class TestChainArgumentTypes:
             (lambda s: build_floquet(RING8, None), "schedule must be a kick schedule, got NoneType"),
             (lambda s: evolve(s, "cfg", KICK8, 1), "config must be a ChainConfig, got str"),
             (lambda s: build_floquet(ChainModel.FERROMAGNET, KICK8), "config .* got ChainModel"),
+            (lambda s: dispersion(None, 0.3), "config must be a ChainConfig, got NoneType"),
+            (lambda s: rotor_image("x", 2.0, 0.1), "config must be a ChainConfig, got str"),
         ],
-        ids=["evolve-schedule", "build_floquet-schedule", "evolve-config", "build_floquet-config"],
+        ids=["evolve-schedule", "build_floquet-schedule", "evolve-config", "build_floquet-config",
+             "dispersion-config", "rotor_image-config"],
     )
     def test_wrong_type_is_a_type_error(self, call, match):
         with pytest.raises(TypeError, match=match):

@@ -10,9 +10,19 @@ return a finite result or raise ``ValueError`` or ``TypeError``, and must
 raise no warning; it may return only if its arguments are valid, and with
 valid arguments only ``fit_localization_length``, whose window or data may
 not allow a fit, may refuse.  The one warning allowed is ``cell_occupancy``'s
-documented notice that the trapping cell is wider than the ring.
+documented notice that the trapping cell is wider than the ring.  A record's
+snapshot periods, drawn valid or not, must be integers that increase
+strictly.
+
+The other public calls that take numbers or parameter records, from
+``dispersion`` to ``feasibility``, are called with valid arguments, one or two
+of them replaced from a pool of wrong types and extreme numbers.  The same
+rule holds: a finite result or a ``ValueError`` or ``TypeError``, and no
+warning.
 """
 
+import cmath
+import dataclasses
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -21,14 +31,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedchain import (
+    ChainConfig,
+    DoubleWellMap,
+    FeasibilityReport,
     LocalizationFit,
     PropagationRecord,
+    RandomRescaledDoubleKickMap,
     SpikeTrack,
+    StandardMap,
     cell_occupancy,
     cyclic_displacements,
+    delta_state,
     detect_accelerator_modes,
+    dispersion,
     distribution_stats,
+    feasibility,
     fit_localization_length,
+    fixed_point_stability,
+    magnon_state,
+    map_step,
+    rotor_image,
+    wavenumber_grid,
 )
 from kickedchain._limits import MAX_RESULT_BYTES
 
@@ -40,7 +63,10 @@ RING_SIZES = [-4, 0, 1, 2, 7, 64, np.int64(8), 4.0, True, None, "4", 10**13, 2**
 WINDOW_STARTS = [0.0, 1.0, 2.5, -1.0, np.nan]
 WINDOW_ENDS = [10.0, 11.5, 2.5, np.inf, np.nan]
 GOOD_STRENGTHS = [0.05, 0.5, 3.0]
-STRENGTHS = GOOD_STRENGTHS + [0.0, -1.0, np.inf, np.nan, 10**400]
+STRENGTHS = GOOD_STRENGTHS + [0.0, -1.0, np.inf, np.nan, 10**400, True]
+# a record's snapshot periods are mostly 0, 1, 2, ..., else each drawn from
+# this pool, which gives repeats, decreasing runs, NaN, a float, text and a bool
+PERIODS = [0, 1, 2, 2, 3, np.int64(4), np.nan, 1.5, "1", True]
 
 
 @st.composite
@@ -57,14 +83,17 @@ def distributions(draw):
 @st.composite
 def records(draw):
     """A record of one to five ``distributions()`` snapshots, after the first mostly
-    rolls of it, else new draws, at periods 0, 1, 2, ..."""
+    rolls of it, else new draws, at periods 0, 1, 2, ... or from ``PERIODS``."""
     first = draw(distributions())
     snapshots = [first]
     for shift in range(1, draw(st.sampled_from([1, 2, 3, 3, 4, 4, 5, 5]))):
         rolled = np.roll(first, shift) if first.ndim else first
         new = draw(st.sampled_from([False, False, False, True]))
         snapshots.append(draw(distributions()) if new else rolled)
-    return PropagationRecord(list(enumerate(snapshots)), final_state=snapshots[-1], max_edge=0.0)
+    periods = list(range(len(snapshots)))
+    if draw(st.sampled_from([False, False, True])):
+        periods = [draw(st.sampled_from(PERIODS)) for _ in snapshots]
+    return PropagationRecord(list(zip(periods, snapshots)), final_state=snapshots[-1], max_edge=0.0)
 
 
 def is_distribution(p) -> bool:
@@ -135,28 +164,88 @@ def test_diagnostics_readers_return_finite_or_refuse(p, s0, n_sites, window, b_w
 
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(
-    record=records(),
     # weighted towards valid values, so that more records are tracked
+    record=st.one_of(records(), st.sampled_from([None, "record"])),
     center=st.one_of(st.sampled_from(CENTRES[:4]), st.sampled_from(CENTRES)),
     b_kick=st.one_of(st.sampled_from(GOOD_STRENGTHS), st.sampled_from(STRENGTHS)),
 )
 def test_spike_tracking_returns_finite_tracks_or_refuses(record, center, b_kick):
+    tracks = outcome(lambda: detect_accelerator_modes(record, b_kick, center))
+    if not isinstance(record, PropagationRecord):
+        assert isinstance(tracks, TypeError), tracks
+        return
+    periods = [t for t, _ in record.snapshots]
     snapshots = [p for _, p in record.snapshots]
     valid = (
         len(snapshots) >= 3
         and all(is_distribution(p) for p in snapshots)
         and len({p.shape for p in snapshots}) == 1
+        and all(is_integer(t) for t in periods)
+        and all(a < b for a, b in zip(periods, periods[1:]))
         and is_integer(center)
         and b_kick in GOOD_STRENGTHS
     )
-    tracks = outcome(lambda: detect_accelerator_modes(record, b_kick, center))
     if not valid:
         assert isinstance(tracks, Exception), tracks
         return
     n = len(snapshots[0])
     for track, side in zip(tracks, ("left", "right")):
         assert isinstance(track, SpikeTrack) and track.side == side
-        assert set(track.periods) <= set(range(len(snapshots)))
+        assert set(track.periods) <= set(periods)
         assert all(0 <= s < n for s in track.sites)
         assert all(0.0 <= m <= 1.0 + 1e-6 for m in track.masses)
         assert track.speed is None or np.isfinite(track.speed)
+
+
+# Values that replace an argument: none of BAD is valid for a scalar or a
+# record argument; the others are valid for some.
+BAD = [None, "3", True, np.True_, np.nan, np.inf, -np.inf, 10**400, object()]
+REPLACEMENTS = [(v, True) for v in BAD] + [(-3, False), (2**70, False)]
+RING = ChainConfig(16, 1.0)
+# Each call with valid arguments, and the positions that no value of BAD may
+# take.  The others are an array, which numpy reads a bool into, or an rng
+# that a deterministic map ignores.
+CALLS = {
+    "dispersion": (dispersion, (RING, 0.3), {0}),
+    "wavenumber_grid": (wavenumber_grid, (16,), {0}),
+    "magnon_state": (magnon_state, (16, 3), {0, 1}),
+    "delta_state": (delta_state, (16, 3), {0, 1}),
+    "rotor_image": (rotor_image, (RING, 2.0, 0.1), {0, 1, 2}),
+    "map_step": (map_step, (0.1, 0.2, StandardMap(0.9), None), {0, 1, 2}),
+    "map_step-random": (
+        map_step, (0.1, 0.2, RandomRescaledDoubleKickMap(0.35), np.random.default_rng(1)), {0, 1, 2, 3}
+    ),
+    "fixed_point_stability": (fixed_point_stability, (DoubleWellMap(0.35, 0.35),), {0}),
+    "feasibility": (feasibility, (1e-6, 100, 1e9, 1e-6), {0, 1, 2, 3}),
+}
+
+
+def numbers(result) -> list:
+    """The numbers and arrays of a result, through its records and sequences;
+    a duration bound of ``None`` and a stability label hold none."""
+    if isinstance(result, FeasibilityReport):
+        result = result.to_dict()
+    elif dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return [n for item in result for n in numbers(item)]
+    return [] if result is None or isinstance(result, str) else [result]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(CALLS)), data=st.data())
+def test_public_calls_return_finite_or_refuse(name, data):
+    call, args, strict = CALLS[name]
+    args = list(args)
+    refused = False
+    for i in data.draw(st.sets(st.sampled_from(range(len(args))), min_size=1, max_size=2)):
+        args[i], bad = data.draw(st.sampled_from(REPLACEMENTS))
+        refused |= bad and i in strict
+    result = outcome(lambda: call(*args))
+    if isinstance(result, Exception):
+        return
+    assert not refused, result
+    for value in numbers(result):
+        assert np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else cmath.isfinite(value), result

@@ -1,9 +1,12 @@
 """Classical map tests: stepping, ensembles, sections, fixed points."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,24 @@ class TestMapStep:
     def test_random_variant_requires_rng(self):
         with pytest.raises(ValueError):
             map_step(0.0, 0.0, RandomRescaledDoubleKickMap(k_eps=0.35))
+
+    def test_random_variant_refuses_an_rng_of_another_type_without_numpy_random(self):
+        # "rng" raised AttributeError; the check must not load numpy.random,
+        # as isinstance(rng, np.random.Generator) would
+        code = (
+            "import sys\n"
+            "from kickedchain import RandomRescaledDoubleKickMap, map_step\n"
+            "try:\n"
+            "    map_step(0.1, 0.2, RandomRescaledDoubleKickMap(0.35), 'rng')\n"
+            "except TypeError as exc:\n"
+            "    print(exc)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(maps_module.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "rng must be a random generator, got str\nFalse\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -574,8 +574,9 @@ def fail_second_block(monkeypatch):
 
 
 class TestStreamedWrite:
-    """The CSV is written on a second thread while the run computes, into a
-    temp file that is renamed only once the report is written."""
+    """A chain or rotor CSV is written on a second thread while the run computes,
+    a section CSV on the runner's thread once the map is done; each into a temp
+    file that is renamed only once the report is written."""
 
     @pytest.mark.parametrize(
         "scenario, propagate",
@@ -638,6 +639,23 @@ class TestStreamedWrite:
         monkeypatch.setattr(scenario_module, "_csv_stream", started)
         result = run_scenario(shape_config(tmp_path, "classical_map"))
         assert [Path(f).name for f in result["files"]] == ["run_report.json"]
+
+    def test_section_writes_on_the_runner_thread(self, tmp_path, monkeypatch):
+        # its rows exist only once the map is done, so a writer thread would overlap nothing
+        def stream(*args, **kwargs):
+            raise AssertionError("_csv_stream was called")
+
+        names, start = [], threading.Thread.start
+
+        def recording(thread):
+            names.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(scenario_module, "_csv_stream", stream)
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        result = run_scenario(shape_config(tmp_path, "surface_of_section"))
+        assert [Path(f).name for f in result["files"]] == ["run_sos.csv", "run_report.json"]
+        assert "kickedchain-csv" not in names
 
 
 # One small config per scenario, and the exact key set of its report.
@@ -1195,16 +1213,42 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
-        "sites, code", [(2**53, 0), (2**53 + 1, 1), (10**400, 1)], ids=["2**53", "2**53+1", "10**400"]
+        "sites, code", [(2**53, 0), (2**53 + 1, 2), (10**400, 2)], ids=["2**53", "2**53+1", "10**400"]
     )
     def test_feasibility_sites_bound(self, capsys, sites, code):
         argv = ["feasibility", "--b-range", "1e-6", "--sites", str(sites), "--j-hz", "1e9"]
         assert main(argv) == code
         out, err = capsys.readouterr()
         if code:
-            assert out == "" and f"error: n_sites must be > 0 and <= {2**53}" in err
+            assert (out, err) == ("", f"config error: config: n_sites must be > 0 and <= {2**53}\n")
         else:
             assert json.loads(out)["n_sites"] == sites
+
+    # the subcommand's flags and the fields of a feasibility config: a broken
+    # rule exits 2 and an overflowing estimate 1, with the one line validate prints
+    FEASIBILITY_FLAGS = {
+        "sites-0": ({"--sites": "0"}, {"n_sites": 0}, 2),
+        "b_range-nan": ({"--b-range": "nan"}, {"b_range_au": float("nan")}, 2),
+        "b_range-negative": ({"--b-range": "-1"}, {"b_range_au": -1.0}, 2),
+        "exchange-1e300": (
+            {"--j-hz": "1e300", "--t0-s": "1e300"}, {"j_hz": 1e300, "t0_seconds": 1e300}, 1
+        ),
+    }
+
+    @pytest.mark.parametrize("probe", FEASIBILITY_FLAGS)
+    def test_feasibility_flags_exit_as_validate(self, tmp_path, capsys, probe):
+        flags, fields, code = self.FEASIBILITY_FLAGS[probe]
+        argv = {"--b-range": "1e-6", "--sites": "100", "--j-hz": "1e9", **flags}
+        assert main(["feasibility", *(word for pair in argv.items() for word in pair)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error: " if code == 2 else "error: ")
+        cfg = {**shape_config(tmp_path, "feasibility"), "n_sites": 100, **fields}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == code
+        # a NaN in a config is refused by the validator's own check, with the field's path
+        expected = "config error: config.b_range_au: must be finite\n" if probe == "b_range-nan" else err
+        assert capsys.readouterr() == ("", expected)
 
     @pytest.mark.parametrize("initial", [{"delta_site": 0}, {"magnon_m": 0}])
     def test_huge_ring_refused_before_state_is_built(self, tmp_path, capsys, initial):
@@ -1290,10 +1334,7 @@ class TestCli:
         assert doc["feasible"] is False
         assert doc["pulse_min_au"] is None
 
-    @pytest.mark.parametrize(
-        "b_range, message",
-        [("nan", "b_range_au must be finite"), ("1e308", "b_range_tesla is not finite")],
-    )
+    @pytest.mark.parametrize("b_range, message", [("1e308", "b_range_tesla is not finite")])
     def test_feasibility_non_finite_exits_1(self, capsys, b_range, message):
         # 1e308 au is finite, but overflows to inf when converted to Tesla;
         # feasibility refuses it before the report is built
