@@ -27,6 +27,8 @@ import functools
 
 import numpy as np
 
+from ._streams import _MASK, _mulhi, _split_words
+
 # Words of one value: separator, sign and head; then digits, point and suffix.
 _WORDS = 4
 # Values formatted per pass, at most; a pass spans blocks.  Each pass is about
@@ -37,18 +39,11 @@ _BLOCK = 8192
 _MAX_EXP = 1072
 # The layout tables cover the decimal exponents E of a leading digit in [_MIN_LEAD, 15].
 _MIN_LEAD = -324
-_M32 = 0xFFFFFFFF
 
 
 def _word(text: str, at: int = 0) -> int:
     """The ``'<u8'`` word holding ``text`` from byte ``at``."""
     return int.from_bytes(text.encode().rjust(at + len(text), b"\0"), "little")
-
-
-def _split_words(values, n_words: int) -> np.ndarray:
-    """Python ints of ``64 * n_words`` bits as a ``(n_words, len(values))`` uint64 table."""
-    return np.array([[(v >> (64 * w)) & (2**64 - 1) for v in values] for w in range(n_words)],
-                    dtype=np.uint64)
 
 
 @functools.cache
@@ -68,7 +63,7 @@ def _tables():
     ryu = {
         "ml": ml, "mh": mh,
         # the low and the high 32-bit limbs of ml and mh
-        "limb0": np.stack([ml & _M32, mh & _M32]), "limb1": np.stack([ml >> 32, mh >> 32]),
+        "limb0": np.stack([ml & _MASK, mh & _MASK]), "limb1": np.stack([ml >> 32, mh >> 32]),
         # 2 mul, and the complement of its low word
         "ml2": ml << 1, "mh2": (mh << 1) | (ml >> 63), "nml2": ~(ml << 1),
         # the shift q - k - 64 and 64 minus it
@@ -104,32 +99,15 @@ def _tables():
     return ryu, ryu_e10, pow10, half, layout
 
 
-def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of (a1:a0) * (b1:b0), from 32-bit limbs held in uint64 lanes.
-
-    Works in ``b0`` and ``b1``, and returns ``b1``.
-    """
-    t = a0 * b0
-    t >>= 32
-    b0 *= a1
-    b0 += t
-    # b0 is now u = a1 * b0 + (a0 * b0 >> 32), and t becomes w = a0 * b1 + (u & _M32)
-    np.multiply(a0, b1, out=t)
-    t += b0 & _M32
-    b1 *= a1
-    b0 >>= 32
-    b1 += b0
-    t >>= 32
-    b1 += t
-    return b1
-
-
 def _product(mv, exp, ryu):
     """P = mv * mul, for the multipliers of biased exponents ``exp``, as words w0, w1, w2.
 
     A function of its own, so that the limb products are freed when it returns.
     """
-    high = _mulhi(mv & _M32, mv >> 32, ryu["limb0"].take(exp, axis=1), ryu["limb1"].take(exp, axis=1))
+    b0, b1 = ryu["limb0"].take(exp, axis=1), ryu["limb1"].take(exp, axis=1)
+    high, t = np.empty_like(b0), np.empty_like(b0)
+    _mulhi(mv & _MASK, mv >> 32, b0, b1, high, t, b0)
+    del b0, b1, t
     w1 = mv * ryu["mh"].take(exp)
     w1 += high[0]
     high[1] += w1 < high[0]

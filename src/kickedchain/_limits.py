@@ -52,14 +52,21 @@ def to_float(v) -> float:
 
 def to_array(values, name: str, dtype=float, copy=None):
     """``numpy.array(values, dtype, copy=copy)``; an integer beyond the float range in
-    ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``, and
-    text (``str`` or ``bytes``, alone or in an array), which numpy would parse, a ``TypeError``."""
+    ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``.
+    Text (``str`` or ``bytes``), which numpy would parse, a bool, which it would read as
+    0 or 1, and for a real ``dtype`` a complex number, whose imaginary part it would
+    drop, are a ``TypeError``, alone, as an array or inside an object array."""
     import numpy as np  # here, so that the config validator loads no numpy
 
     values = np.asarray(values)
     items = values.flat if values.dtype == object else ()
-    if values.dtype.kind in "SU" or any(isinstance(v, (str, bytes)) for v in items):
-        raise TypeError(f"{name} must hold numbers, not text")
+    kinds = {values.dtype.kind}.union(np.asarray(v).dtype.kind for v in items)
+    refused = [("SU", "numbers, not text"), ("b", "numbers, not bool")]
+    if np.dtype(dtype).kind != "c":
+        refused.append(("c", "real numbers, not complex"))
+    for kind, what in refused:
+        if kinds.intersection(kind):
+            raise TypeError(f"{name} must hold {what}")
     try:
         return np.array(values, dtype=dtype, copy=copy)
     except OverflowError:

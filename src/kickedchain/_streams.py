@@ -8,10 +8,12 @@ on uint64 lanes: O'Neill's PCG XSL-RR 128/64 (HMC-CS-2014-0905), a 128-bit LCG
 with multiplier ``0x2360ED051FC65DA44385DF649FCCF645`` whose output is the xor
 of the state's halves rotated right by its top 6 bits, seeded from
 ``generate_state(4, np.uint64)``.  A refill jumps the LCG ``_STEPS`` steps
-ahead at once, so each ufunc call does the work of many steps.  :func:`uniform`
-runs one such stream, ``_POSITIONS`` positions a refill, for
-``Generator.uniform``'s ``low + (high - low) * next_double``, next_double
-being ``(next >> 11) * 2**-53``.  A seed is read through its ``entropy``,
+ahead at once, so each ufunc call does the work of many steps; its 64-bit
+products take the 32-bit limbs of :func:`_mulhi`, which the CSV float kernel
+(``_floatcsv._product``) shares.  :func:`uniform` runs one such stream,
+``_POSITIONS`` positions a refill, for ``Generator.uniform``'s
+``low + (high - low) * next_double``, next_double being
+``(next >> 11) * 2**-53``.  A seed is read through its ``entropy``,
 ``spawn_key`` and ``pool_size``, whether a :data:`Seed` or numpy's, so no run
 loads ``numpy.random``.  ``TestChildStates``, ``TestLanes`` and
 ``TestStream`` in ``tests/test_maps.py`` pin the draws to numpy's, bit for bit.
@@ -93,33 +95,43 @@ def child_states(seq, a: int | None = None, b: int | None = None) -> np.ndarray:
     return lo | (hi << np.uint64(32))
 
 
-def _columns(values):
-    """128-bit ints as a (high, low) pair of uint64 columns."""
-    return np.array([[v >> 64 for v in values], [v & (2**64 - 1) for v in values]], np.uint64)[..., None]
+def _split_words(values, n_words: int) -> np.ndarray:
+    """Python ints of ``64 * n_words`` bits as a ``(n_words, len(values))`` uint64 table."""
+    return np.array([[(v >> (64 * w)) & (2**64 - 1) for v in values] for w in range(n_words)],
+                    dtype=np.uint64)
+
+
+def _mulhi(a0, a1, b0, b1, out, t, u) -> None:
+    """Put the high word of (a1:a0) * (b1:b0), from 32-bit limbs in uint64 lanes, in ``out``.
+
+    ``t`` and ``u`` are scratch of ``out``'s shape, which the limbs broadcast to; ``u`` may be
+    ``b0``.  In place: new temporaries of a tile's size cost more in page faults than the math.
+    """
+    np.multiply(a0, b0, out=t)
+    t >>= 32
+    np.multiply(a1, b0, out=u)
+    u += t
+    # u is now a1 * b0 + (a0 * b0 >> 32), and t becomes a0 * b1 + (u & _MASK)
+    np.multiply(a0, b1, out=t)
+    np.bitwise_and(u, _MASK, out=out)
+    t += out
+    t >>= 32
+    u >>= 32
+    np.multiply(a1, b1, out=out)
+    out += u
+    out += t
 
 
 def _lcg(c, x, d, work) -> None:
     """Put the low 128 bits of ``c * x + d`` in ``work[0]`` (high) and ``work[1]`` (low).
 
-    ``c`` is a (high, low) pair of uint64 columns, ``x`` and ``d`` such pairs of
-    lanes; ``work[2:]`` is scratch.  The limbs are ``_floatcsv._mulhi``'s, but in
-    place: new temporaries of a tile's size cost more in page faults than the math.
+    ``c`` holds 128-bit ints as ``_split_words`` gives them, a (low, high) pair
+    of uint64 rows; ``x`` and ``d`` are (high, low) pairs of lanes; ``work[2:]``
+    is scratch.
     """
-    (c1, c0), (x1, x0), (d1, d0) = c, x, d
+    (c0, c1), (x1, x0), (d1, d0) = c[..., None], x, d
     high, low, t, u = work
-    c0_lo, c0_hi, x0_lo, x0_hi = c0 & _MASK, c0 >> 32, x0 & _MASK, x0 >> 32
-    np.multiply(c0_lo, x0_lo, out=t)
-    t >>= 32
-    np.multiply(c0_hi, x0_lo, out=u)
-    u += t
-    np.multiply(c0_lo, x0_hi, out=t)
-    np.bitwise_and(u, _MASK, out=low)
-    t += low
-    t >>= 32
-    u >>= 32
-    np.multiply(c0_hi, x0_hi, out=high)
-    high += u
-    high += t
+    _mulhi(c0 & _MASK, c0 >> 32, x0 & _MASK, x0 >> 32, high, t, u)
     for a, b in ((c0, x1), (c1, x0)):
         np.multiply(a, b, out=t)
         high += t
@@ -140,13 +152,13 @@ def _outputs(rows, k: int, n_steps: int):
     inc = (seed[2] << 1) | (seed[3] >> 63), (seed[3] << 1) | 1
     state = seed[:2]
     for c in (1, _MULT):
-        _lcg(_columns([c]), state, inc, work[:, :1])
+        _lcg(_split_words([c], 2), state, inc, work[:, :1])
         state = work[:2, 0].copy()
     # j steps from s give M**j s + C_j inc, with C_j = 1 + M + ... + M**(j-1)
     powers = list(accumulate([_MULT] * k, lambda m, c: m * c % 2**128))
     sums = [c % 2**128 for c in accumulate([1] + powers[:-1])]
-    _lcg(_columns(sums), inc, (0, 0), work)
-    jump, step_inc = _columns(powers), work[:2].copy()
+    _lcg(_split_words(sums, 2), inc, (0, 0), work)
+    jump, step_inc = _split_words(powers, 2), work[:2].copy()
     for t0 in range(0, n_steps, k):
         _lcg(jump, state, step_inc, work)
         state[:] = work[:2, -1]

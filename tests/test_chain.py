@@ -401,8 +401,52 @@ def test_text_array_is_a_type_error(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        # dispersion(cfg, True) returned 0.4597, the value at k = 1
+        (lambda: dispersion(ChainConfig(8, 1.0), True), "k"),
+        (lambda: dispersion(ChainConfig(8, 1.0), np.True_), "k"),
+        # distribution_stats([True, False], 0) returned (0.0, 1.0)
+        (lambda: distribution_stats([True, False], 0), "p"),
+        (lambda: distribution_stats(np.array([0.5, np.True_], dtype=object), 0), "p"),
+        (lambda: iterate_ensemble(np.array([True]), [0.0], StandardMap(1.0), 2), "x0"),
+        (lambda: evolve(np.array([True, False, False, False]), ChainConfig(4, 1.0), SingleKick(0.1, 1.0), 2),
+         "state"),
+    ],
+    ids=["dispersion", "dispersion-numpy", "distribution_stats", "distribution_stats-object",
+         "iterate_ensemble", "evolve"],
+)
+def test_bool_array_is_a_type_error(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must hold numbers, not bool"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dispersion(ChainConfig(8, 1.0), 0.3 + 0.1j), "k"),
+        # distribution_stats(np.array([1+2j, 0j]), 0) returned (0.0, 1.0) with a ComplexWarning
+        (lambda: distribution_stats(np.array([1 + 2j, 0j]), 0), "p"),
+        (lambda: distribution_stats(np.array([0.5, 0.5 + 0j], dtype=object), 0), "p"),
+        # iterate_ensemble([0.1+1j], ...) ran on 0.1
+        (lambda: iterate_ensemble([0.1 + 1j], [0.0], StandardMap(1.0), 2), "x0"),
+        (lambda: surface_of_section([0.1], np.array([0.2 + 0j]), StandardMap(1.0), 2), "p0"),
+    ],
+    ids=["dispersion", "distribution_stats", "distribution_stats-object", "iterate_ensemble",
+         "surface_of_section"],
+)
+def test_complex_array_for_a_real_argument_is_a_type_error(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must hold real numbers, not complex"):
+        call()
+
+
 def test_object_array_of_numbers_is_read():
     p = np.array([0.25, 0.75], dtype=object)
     assert distribution_stats(p, 0) == distribution_stats(p.astype(float), 0)
     k = np.array([1, 0.5], dtype=object)
     np.testing.assert_array_equal(dispersion(ChainConfig(8, 1.0), k), 1.0 - np.cos([1.0, 0.5]))
+    # the evolve state is the one argument that may be complex, inside an object array too
+    state = np.array([0, 0, 0, 1j], dtype=object)
+    runs = [evolve(s, ChainConfig(4, 1.0), SingleKick(0.1, 1.0), 2) for s in (state, state.astype(complex))]
+    np.testing.assert_array_equal(runs[0].final_state, runs[1].final_state)

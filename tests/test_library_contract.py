@@ -18,7 +18,10 @@ The other public calls that take numbers or parameter records, from
 ``dispersion`` to ``feasibility``, are called with valid arguments, one or two
 of them replaced from a pool of wrong types and extreme numbers.  The same
 rule holds: a finite result or a ``ValueError`` or ``TypeError``, and no
-warning.
+warning.  So do the ensemble iterators, ``iterate_ensemble`` and
+``surface_of_section``, whose initial conditions are also replaced from a
+pool of arrays: bool and complex ones, which must be refused, and empty,
+non-finite, longer, 2-D and object ones.
 """
 
 import cmath
@@ -37,6 +40,7 @@ from kickedchain import (
     LocalizationFit,
     PropagationRecord,
     RandomRescaledDoubleKickMap,
+    RescaledDoubleKickMap,
     SpikeTrack,
     StandardMap,
     cell_occupancy,
@@ -48,9 +52,11 @@ from kickedchain import (
     feasibility,
     fit_localization_length,
     fixed_point_stability,
+    iterate_ensemble,
     magnon_state,
     map_step,
     rotor_image,
+    surface_of_section,
     wavenumber_grid,
 )
 from kickedchain._limits import MAX_RESULT_BYTES
@@ -203,10 +209,9 @@ BAD = [None, "3", True, np.True_, np.nan, np.inf, -np.inf, 10**400, object()]
 REPLACEMENTS = [(v, True) for v in BAD] + [(-3, False), (2**70, False)]
 RING = ChainConfig(16, 1.0)
 # Each call with valid arguments, and the positions that no value of BAD may
-# take.  The others are an array, which numpy reads a bool into, or an rng
-# that a deterministic map ignores.
+# take.  The one other is the rng, which a deterministic map ignores.
 CALLS = {
-    "dispersion": (dispersion, (RING, 0.3), {0}),
+    "dispersion": (dispersion, (RING, 0.3), {0, 1}),
     "wavenumber_grid": (wavenumber_grid, (16,), {0}),
     "magnon_state": (magnon_state, (16, 3), {0, 1}),
     "delta_state": (delta_state, (16, 3), {0, 1}),
@@ -249,3 +254,47 @@ def test_public_calls_return_finite_or_refuse(name, data):
     assert not refused, result
     for value in numbers(result):
         assert np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else cmath.isfinite(value), result
+
+
+# Arrays that replace an ensemble's x0 or p0, each with whether it may never be
+# valid there; a longer or 2-D array is valid where the other one matches.
+ARRAYS = [
+    (np.array([True, False]), True),
+    (np.array([0.1, True], dtype=object), True),
+    (np.array([0.1 + 1j, 0.2]), True),
+    (np.array([0.1, 0.2 + 0j]), True),
+    (np.array([0.1, 0.2 + 0j], dtype=object), True),
+    (np.array([]), True),
+    (np.array([0.1, np.nan]), True),
+    (np.array([0.25, -0.5], dtype=object), False),
+    (np.array([[0.3, -0.2]]), False),
+    (np.array([0.1, 0.2, 0.3]), False),
+]
+ENSEMBLE_SPECS = [StandardMap(0.9), DoubleWellMap(0.35, -0.35), RescaledDoubleKickMap(0.35, 60.0),
+                  RandomRescaledDoubleKickMap(0.35)]
+# Each ensemble call with valid arguments (the spec is drawn), and the
+# positions that no value of BAD may take: a record_every or a seed of
+# 10**400 is valid.
+ENSEMBLE_CALLS = {
+    "iterate_ensemble": (iterate_ensemble, ([0.1, 0.2], [0.0, 0.3], None, 5, 2, 7), {0, 1, 2, 3}),
+    "surface_of_section": (surface_of_section, ([0.1, 0.2], [0.0, 0.3], None, 5, 7), {0, 1, 2, 3}),
+}
+
+
+@settings(max_examples=800, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(ENSEMBLE_CALLS)), spec=st.sampled_from(ENSEMBLE_SPECS), data=st.data())
+def test_ensemble_calls_return_finite_or_refuse(name, spec, data):
+    call, args, strict = ENSEMBLE_CALLS[name]
+    args = list(args)
+    args[2] = spec
+    refused = False
+    for i in data.draw(st.sets(st.sampled_from(range(len(args))), min_size=1, max_size=2)):
+        pool = REPLACEMENTS + ARRAYS if i < 2 else REPLACEMENTS
+        args[i], bad = data.draw(st.sampled_from(pool))
+        refused |= bad and i in strict
+    result = outcome(lambda: call(*args))
+    if isinstance(result, Exception):
+        return
+    assert not refused, result
+    for value in numbers(result):
+        assert np.all(np.isfinite(value)), result

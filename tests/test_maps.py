@@ -467,6 +467,39 @@ class TestLanes:
             self._check(TestChildStates.SEEDS["spawned"], i, 3, 37)
 
 
+class TestMulhi:
+    """The 32-bit-limb multiply that the PCG64 lanes and the CSV float kernel share,
+    against Python integers, in the call shapes of both."""
+
+    EDGES = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+
+    @staticmethod
+    def _random(n, seed):
+        return np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
+
+    @staticmethod
+    def _limbs(words):
+        return words & _streams._MASK, words >> 32
+
+    def test_column_times_lanes(self):
+        # _lcg's call: a (k, 1) column of multipliers times (lanes,)
+        a = np.concatenate([self.EDGES, self._random(30, 1)])[:, None]
+        b = np.concatenate([self.EDGES, self._random(40, 2)])
+        out, t, u = np.empty((3, len(a), len(b)), np.uint64)
+        _streams._mulhi(*self._limbs(a), *self._limbs(b), out, t, u)
+        assert out.tolist() == [[x * y >> 64 for y in b.tolist()] for x in a[:, 0].tolist()]
+
+    def test_lanes_times_rows_in_place(self):
+        # _product's call: (n,) times (2, n), with u aliasing b0; every pair of edges meets in row 0
+        n = len(self.EDGES)
+        a = np.concatenate([np.repeat(self.EDGES, n), self._random(200, 3)])
+        b = np.stack([np.concatenate([np.tile(self.EDGES, n), self._random(200, 4)]), self._random(len(a), 5)])
+        b0, b1 = self._limbs(b)
+        out, t = np.empty((2, *b.shape), np.uint64)
+        _streams._mulhi(*self._limbs(a), b0, b1, out, t, b0)
+        assert out.tolist() == [[x * y >> 64 for x, y in zip(a.tolist(), row)] for row in b.tolist()]
+
+
 class TestStream:
     """The one-stream draws behind the uniform_x initial conditions and the frozen field."""
 
