@@ -27,6 +27,7 @@ from .evolution import PropagationRecord
 __all__ = [
     "LocalizationFit",
     "SpikeTrack",
+    "SpikeTracker",
     "cyclic_displacements",
     "distribution_stats",
     "fit_localization_length",
@@ -194,6 +195,58 @@ def _outermost_spike(p, d, side_mask, threshold):
     return None
 
 
+class SpikeTracker:
+    """The spike tracking of :func:`detect_accelerator_modes`, fed one snapshot at a time.
+
+    ``step(period, p)`` checks one snapshot: it must be a distribution, as in
+    :func:`distribution_stats`, of the first snapshot's length, at an integer
+    period above the one before.  It then adds each side's outermost
+    qualifying spike to its track, and keeps nothing of the snapshot but the
+    spikes' numbers.  ``tracks()`` fits the speeds and returns the left and
+    the right track; it needs at least 3 snapshots.
+    """
+
+    def __init__(self, b_kick: float, center: int):
+        check_reals(0, True, b_kick=b_kick)
+        self._b_kick, self._center = b_kick, center
+        self._left, self._right = SpikeTrack(side="left"), SpikeTrack(side="right")
+        self.n_snapshots = 0
+        self._period = self._d = self._band = None
+
+    def step(self, period, p) -> None:
+        p = _check_probability(p)
+        if self._d is not None and len(p) != len(self._d):
+            raise ValueError(f"snapshots must all have one length, the first has {len(self._d)}")
+        check_integers(**{f"the period of snapshot {self.n_snapshots}": period})
+        if self.n_snapshots and period <= self._period:
+            raise ValueError(f"snapshot periods must increase strictly, got {period} after {self._period}")
+        n = len(p)
+        if self._d is None:
+            self._d = cyclic_displacements(n, self._center)
+            band_radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
+            self._band = np.abs(self._d) <= band_radius
+        d = self._d
+        threshold = THRESHOLD_FACTOR * float(np.median(p[self._band]))
+        for track, mask in ((self._left, d < 0), (self._right, d > 0)):
+            site = _outermost_spike(p, d, mask, threshold)
+            if site is None:
+                continue
+            window = (np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1)) % n
+            track.periods.append(period)
+            track.sites.append(site)
+            track.displacements.append(int(d[site]))
+            track.masses.append(float(p[window].sum()))
+        self._period = period
+        self.n_snapshots += 1
+
+    def tracks(self) -> tuple[SpikeTrack, SpikeTrack]:
+        if self.n_snapshots < 3:
+            raise ValueError("need at least 3 snapshots to track spikes")
+        self._left._fit_speed()
+        self._right._fit_speed()
+        return self._left, self._right
+
+
 def detect_accelerator_modes(
     record: PropagationRecord,
     b_kick: float,
@@ -211,11 +264,14 @@ def detect_accelerator_modes(
     just leaves the track empty.  Each snapshot must be a distribution, as in
     :func:`distribution_stats`, and all of one length; the snapshot periods
     must be integers that increase strictly, as :func:`evolve` writes them.
+    The snapshots go through a :class:`SpikeTracker` in order.
     """
     check_type(record, PropagationRecord, "record", "a PropagationRecord")
-    check_reals(0, True, b_kick=b_kick)
+    tracker = SpikeTracker(b_kick, center)
     if len(record.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track spikes")
+    # The whole record is checked first, so that which fault it is refused
+    # for does not depend on the order of its snapshots.
     snapshots = [(period, _check_probability(p)) for period, p in record.snapshots]
     periods = [period for period, _ in snapshots]
     check_integers(**{f"the period of snapshot {i}": t for i, t in enumerate(periods)})
@@ -224,26 +280,9 @@ def detect_accelerator_modes(
     n = len(snapshots[0][1])
     if any(len(p) != n for _, p in snapshots):
         raise ValueError(f"snapshots must all have one length, the first has {n}")
-    d = cyclic_displacements(n, center)
-    band_radius = int(min(max(2.0 * np.pi / b_kick, 5), n // 4))
-    band = np.abs(d) <= band_radius
-
-    left = SpikeTrack(side="left")
-    right = SpikeTrack(side="right")
     for period, p in snapshots:
-        threshold = THRESHOLD_FACTOR * float(np.median(p[band]))
-        for track, mask in ((left, d < 0), (right, d > 0)):
-            site = _outermost_spike(p, d, mask, threshold)
-            if site is None:
-                continue
-            window = (np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1)) % n
-            track.periods.append(period)
-            track.sites.append(site)
-            track.displacements.append(int(d[site]))
-            track.masses.append(float(p[window].sum()))
-    left._fit_speed()
-    right._fit_speed()
-    return left, right
+        tracker.step(period, p)
+    return tracker.tracks()
 
 
 def cell_occupancy(p, b_weak: float, center: int) -> float:

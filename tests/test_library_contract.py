@@ -12,7 +12,8 @@ valid arguments only ``fit_localization_length``, whose window or data may
 not allow a fit, may refuse.  The one warning allowed is ``cell_occupancy``'s
 documented notice that the trapping cell is wider than the ring.  A record's
 snapshot periods, drawn valid or not, must be integers that increase
-strictly.
+strictly.  A ``SpikeTracker`` fed the same records one snapshot at a time
+returns the same tracks as ``detect_accelerator_modes``, or refuses too.
 
 The other public calls that take numbers or parameter records, from
 ``dispersion`` to ``feasibility``, are called with valid arguments, one or two
@@ -42,6 +43,7 @@ from kickedchain import (
     RandomRescaledDoubleKickMap,
     RescaledDoubleKickMap,
     SpikeTrack,
+    SpikeTracker,
     StandardMap,
     cell_occupancy,
     cyclic_displacements,
@@ -201,6 +203,41 @@ def test_spike_tracking_returns_finite_tracks_or_refuses(record, center, b_kick)
         assert all(0 <= s < n for s in track.sites)
         assert all(0.0 <= m <= 1.0 + 1e-6 for m in track.masses)
         assert track.speed is None or np.isfinite(track.speed)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(
+    record=records(),
+    center=st.one_of(st.sampled_from(CENTRES[:4]), st.sampled_from(CENTRES)),
+    b_kick=st.one_of(st.sampled_from(GOOD_STRENGTHS), st.sampled_from(STRENGTHS)),
+)
+def test_streamed_tracker_agrees_with_detect_accelerator_modes(record, center, b_kick):
+    def streamed():
+        tracker = SpikeTracker(b_kick, center)
+        for period, p in record.snapshots:
+            tracker.step(period, p)
+        return tracker.tracks()
+
+    whole = outcome(lambda: detect_accelerator_modes(record, b_kick, center))
+    stream = outcome(streamed)
+    if not isinstance(whole, Exception):
+        assert stream == whole, (stream, whole)
+        return
+    assert isinstance(stream, Exception), stream
+    # detect_accelerator_modes checks the whole record before it tracks, the
+    # tracker each snapshot as it comes: they refuse for the same fault, or at
+    # least one of the same type, unless the record has faults of both types
+    periods = [t for t, _ in record.snapshots]
+    snapshots = [p for _, p in record.snapshots]
+    type_fault = not is_integer(center) or not all(is_integer(t) for t in periods)
+    value_fault = (
+        len(snapshots) < 3
+        or not all(is_distribution(p) for p in snapshots)
+        or len({p.shape for p in snapshots}) > 1
+        or any(is_integer(a) and is_integer(b) and b <= a for a, b in zip(periods, periods[1:]))
+    )
+    if b_kick not in GOOD_STRENGTHS or not (type_fault and value_fault):
+        assert type(stream) is type(whole), (stream, whole)
 
 
 # Values that replace an argument: none of BAD is valid for a scalar or a
