@@ -32,8 +32,9 @@ _HOMES = {
     **dict.fromkeys(("PropagationRecord", "build_floquet", "evolve", "qkr_evolve"), "evolution"),
     **dict.fromkeys(
         (
-            "LocalizationFit", "SpikeTrack", "SpikeTracker", "cell_occupancy", "cyclic_displacements",
-            "detect_accelerator_modes", "distribution_stats", "fit_localization_length",
+            "LocalizationFit", "SpikeTrack", "SpikeTracker", "cell_occupancy",
+            "cyclic_displacements", "detect_accelerator_modes", "distribution_stats",
+            "fit_localization_length",
         ),
         "diagnostics",
     ),

@@ -1,9 +1,10 @@
 """The bounds on a run's size, in-memory result, work and phases.
 
-A run holds its whole result in memory: every snapshot of a propagation,
-which the record keeps though the CSV streams out during the run, the record
-array of an ensemble, the points of a section.  Each is sized and checked
-against ``MAX_RESULT_BYTES`` before it is allocated.  A run's work, in
+A library call holds its whole result in memory: every snapshot of a
+propagation, the record array of an ensemble, the points of a section.  Each
+is sized and checked against ``MAX_RESULT_BYTES`` before it is allocated.  A
+``run`` of a propagation streams each snapshot out to its CSV and keeps only
+the last, but its size is checked against the same cap.  A run's work, in
 element-steps (basis states times periods, trajectories times map steps, with
 each period or step counted as at least ``_MIN_ELEMENTS``), is checked
 against ``MAX_WORK`` before the first step.  The bounds are fixed;
@@ -55,12 +56,17 @@ def to_array(values, name: str, dtype=float, copy=None):
     ``values`` is a ``ValueError`` "<name> must be finite", not an ``OverflowError``.
     Text (``str`` or ``bytes``), which numpy would parse, a bool, which it would read as
     0 or 1, and for a real ``dtype`` a complex number, whose imaginary part it would
-    drop, are a ``TypeError``, alone, as an array or inside an object array."""
+    drop, are a ``TypeError``, alone, as an array or inside an object array, list or
+    tuple."""
     import numpy as np  # here, so that the config validator loads no numpy
 
+    # a list or tuple is read as objects first, since numpy would cast a bool or
+    # a complex number in it to the others' type
+    items = np.asarray(values, dtype=object) if isinstance(values, (list, tuple)) else ()
     values = np.asarray(values)
-    items = values.flat if values.dtype == object else ()
-    kinds = {values.dtype.kind}.union(np.asarray(v).dtype.kind for v in items)
+    if values.dtype == object:
+        items = values
+    kinds = {values.dtype.kind}.union(np.asarray(v).dtype.kind for v in np.ravel(items))
     refused = [("SU", "numbers, not text"), ("b", "numbers, not bool")]
     if np.dtype(dtype).kind != "c":
         refused.append(("c", "real numbers, not complex"))

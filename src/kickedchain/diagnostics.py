@@ -219,7 +219,9 @@ class SpikeTracker:
             raise ValueError(f"snapshots must all have one length, the first has {len(self._d)}")
         check_integers(**{f"the period of snapshot {self.n_snapshots}": period})
         if self.n_snapshots and period <= self._period:
-            raise ValueError(f"snapshot periods must increase strictly, got {period} after {self._period}")
+            raise ValueError(
+                f"snapshot periods must increase strictly, got {period} after {self._period}"
+            )
         n = len(p)
         if self._d is None:
             self._d = cyclic_displacements(n, self._center)

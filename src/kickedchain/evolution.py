@@ -40,10 +40,11 @@ class PropagationRecord:
     """Snapshots of the site-probability distribution along one evolution.
 
     ``snapshots`` holds (period index, |amplitudes|**2) pairs; period 0 and
-    the final period are always present.  ``max_edge`` is the largest
-    |a[0]|**2 + |a[-1]|**2 of the amplitudes after any period, recorded or
-    not, and at period 0: a rotor's edge probability, or a chain's
-    probability on its first and last sites.
+    the final period are always present.  An evolution given ``on_snapshot``
+    keeps only the final one, since the callback has had every one.
+    ``max_edge`` is the largest |a[0]|**2 + |a[-1]|**2 of the amplitudes
+    after any period, recorded or not, and at period 0: a rotor's edge
+    probability, or a chain's probability on its first and last sites.
     """
 
     snapshots: list[tuple[int, np.ndarray]]
@@ -83,7 +84,8 @@ def _split_step(amps, period, n_periods: int, snapshot_every: int, emit) -> Prop
     Each operation is ``np.fft.fft`` or ``np.fft.ifft``, which transforms
     ``amps`` in place, or a phase array to multiply it by.  ``amps`` is the
     caller's to hand over; snapshots are fresh arrays, each passed to
-    ``emit(period, probabilities)``, if given, as it is taken.
+    ``emit(period, probabilities)``, if given, as it is taken, and then only
+    the last is kept.
     """
     snapshots, max_edge = [], 0.0
     for t in range(n_periods + 1):
@@ -94,9 +96,11 @@ def _split_step(amps, period, n_periods: int, snapshot_every: int, emit) -> Prop
                 op(amps, out=amps)
         max_edge = max(max_edge, float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
         if t % snapshot_every == 0 or t == n_periods:
-            snapshots.append((t, np.abs(amps) ** 2))
+            snapshot = (t, np.abs(amps) ** 2)
             if emit is not None:
-                emit(*snapshots[-1])
+                emit(*snapshot)
+                snapshots.clear()
+            snapshots.append(snapshot)
     return PropagationRecord(snapshots=snapshots, final_state=amps, max_edge=max_edge)
 
 
@@ -118,10 +122,11 @@ def evolve(
     ``PROBABILITY_TOL`` of 1; any other is refused before the first period.
 
     ``on_snapshot(period, probabilities)``, if given, is called on the
-    calling thread as each snapshot is taken, in period order, with the very
-    array the record keeps, which must not be modified.  A run refused before
-    its first period never calls it, and an exception it raises ends the run
-    and propagates with no further call.
+    calling thread as each snapshot is taken, in period order, with a fresh
+    array that must not be modified.  The record then keeps only the final
+    snapshot, the very array of the last call, so a run's memory does not grow
+    with its snapshots.  A run refused before its first period never calls it,
+    and an exception it raises ends the run and propagates with no further call.
     """
     check_chain_phases(config, schedule)
     n = config.n_sites
@@ -182,7 +187,8 @@ def qkr_evolve(
     Per period: free rotation exp(-i*hbar/2*l^2), then the cosine kick of
     strength k applied on the angle grid.  The record's ``max_edge`` is the
     largest edge probability after any period, which measures how much the
-    truncation leaks.  ``on_snapshot`` is called as in :func:`evolve`.
+    truncation leaks.  ``on_snapshot`` is called, and the record then keeps
+    only the final snapshot, as in :func:`evolve`.
     """
     check_rotor(initial_momentum, k, hbar, n_basis, n_periods, snapshot_every)
 

@@ -203,7 +203,8 @@ def iterate_ensemble(
     ``SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,))``, the i-th
     child a fresh ``seq.spawn`` gives.  ``seed`` itself is not advanced, so a
     seed gives the same streams on every call, whatever the batching.  Raises
-    ``ValueError`` if any trajectory overflows to a non-finite value.
+    ``ValueError`` if any trajectory overflows to a non-finite value, or the
+    momentum mean or variance of a step does.
     """
     check_integers(n_steps=n_steps, record_every=record_every)
     x, p, seed = _ensemble(x0, p0, spec, n_steps, seed, record_every)
@@ -220,12 +221,11 @@ def iterate_ensemble(
             momenta[r, a:b] = p
 
     _advance(x, p, spec, n_steps, seed, record)
-    return EnsembleStats(
-        steps=np.array(steps),
-        mean_p=momenta.mean(axis=1),
-        var_p=momenta.var(axis=1),
-        momenta=momenta,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean_p, var_p = momenta.mean(axis=1), momenta.var(axis=1)
+    if not (np.isfinite(mean_p).all() and np.isfinite(var_p).all()):
+        raise ValueError("the momentum mean or variance overflowed; every momentum is finite")
+    return EnsembleStats(steps=np.array(steps), mean_p=mean_p, var_p=var_p, momenta=momenta)
 
 
 def surface_of_section(

@@ -58,17 +58,22 @@ _MAPS = {
 }
 # Edge probability above which a rotor's truncated momentum basis is reported as leaky.
 QKR_LEAK_THRESHOLD = 1e-6
+# The most probabilities queued for the CSV writer thread, counted in whole
+# snapshots and at least two: a propagation that outpaces the writer waits for
+# room, so that a run holds a bounded number of snapshots however many it takes.
+_WAITING_VALUES = 2**15
 
 
 # The runners' callees from the numeric modules.  Those load numpy, which
 # validation never needs, so the callees are bound to this module on first
 # use, not at import, through the package's own lazy names.  The runners look
 # them up here, where a caller may also replace one (the tracer in
-# perfbench/spans.py wraps several).
+# perfbench/spans.py wraps several, ``detect_accelerator_modes`` among them,
+# which no runner calls since a run tracks spikes with a ``SpikeTracker``).
 _ENGINE = (
     "delta_state", "magnon_state", "evolve", "qkr_evolve", "iterate_ensemble",
     "surface_of_section", "cell_occupancy", "detect_accelerator_modes",
-    "distribution_stats", "fit_localization_length",
+    "distribution_stats", "fit_localization_length", "SpikeTracker",
 )
 
 
@@ -415,9 +420,11 @@ def _csv_stream(outputs: _Outputs, labels):
 
     Yields ``put(period, probabilities)``, which queues one snapshot, a
     reference to its 1-D array and not a copy, which must not change once
-    queued.  The writer takes every snapshot queued so far as one batch,
-    which its passes run across.  It is joined when the ``with`` statement
-    ends; an error of the writer is raised by the next ``put``, or there.
+    queued.  A ``put`` waits for room while ``_WAITING_VALUES`` probabilities,
+    or two snapshots, are queued and not yet taken.  The writer takes every
+    snapshot queued so far as one batch, which its passes run across.  It is
+    joined when the ``with`` statement ends; an error of the writer is raised
+    by the next ``put``, or there.
     """
     import queue  # here, like write_csv, so that validation does not load it
 
@@ -425,6 +432,7 @@ def _csv_stream(outputs: _Outputs, labels):
 
     path = outputs.stage("_dist.csv")
     blocks = queue.SimpleQueue()
+    room = threading.Semaphore(max(2, _WAITING_VALUES // len(labels)))
     failed = []
 
     def batches():
@@ -432,6 +440,7 @@ def _csv_stream(outputs: _Outputs, labels):
             batch = [blocks.get()]
             while not blocks.empty():
                 batch.append(blocks.get())
+            room.release(len(batch))  # one too many at the end mark, after which no put comes
             yield [block for block in batch if block is not None]
             if batch[-1] is None:
                 return
@@ -442,8 +451,10 @@ def _csv_stream(outputs: _Outputs, labels):
                 write_csv(fh, "period,site,probability", labels, batches())
         except Exception as exc:  # handed to the runner's thread
             failed.append(exc)
+            room.release()  # a put that waits for room wakes to raise it
 
     def put(index, values):
+        room.acquire()
         if failed:
             raise failed[0]
         blocks.put((index, values))
@@ -465,7 +476,7 @@ def _chain_keys(s0, **computed) -> dict:
     return {"s0": s0, **empty, **computed}
 
 
-def _localization(cfg, record, s0) -> dict:
+def _localization(cfg, record, s0, tracker) -> dict:
     chain, schedule = cfg["chain"], cfg["schedule"]
     keys = _chain_keys(s0)
     length_est = (chain["j1"] * schedule["period"]) ** 2 / 4.0
@@ -477,9 +488,8 @@ def _localization(cfg, record, s0) -> dict:
             keys["loc_fit_r2"] = fit.r_squared
         except ValueError as exc:
             _warnings.warn(f"localization fit skipped: {exc}")
-    if schedule["b_kick"] > 0 and len(record.snapshots) >= 3:
-        left, right = detect_accelerator_modes(record, schedule["b_kick"], chain["kick_center"])
-        for track in (left, right):
+    if tracker is not None and tracker.n_snapshots >= 3:
+        for track in tracker.tracks():
             keys["spike_speeds"][track.side] = track.speed
             keys["spikes"] += [
                 {"side": track.side, "period": t, "site": s, "displacement": d, "mass": m}
@@ -488,23 +498,23 @@ def _localization(cfg, record, s0) -> dict:
     return keys
 
 
-def _trapping(cfg, record, s0) -> dict:
+def _trapping(cfg, record, s0, tracker) -> dict:
     b_weak, center = cfg["schedule"]["b_weak"], cfg["chain"]["kick_center"]
     # b_weak 0 draws no trapping cell, so the occupancy stays empty
     occupancy = cell_occupancy(record.final_distribution, b_weak, center) if b_weak > 0 else None
     return _chain_keys(s0, cell_occupancy=occupancy)
 
 
-def _double_kick_trapping(cfg, record, s0) -> dict:
+def _double_kick_trapping(cfg, record, s0, tracker) -> dict:
     if cfg["schedule"]["b_strong"] <= cfg["schedule"]["b_weak"]:
         _warnings.warn(
             "b_strong <= b_weak: cellular trapping assumes the second kick is"
             " much stronger than the first"
         )
-    return _trapping(cfg, record, s0)
+    return _trapping(cfg, record, s0, tracker)
 
 
-def _rotor(cfg, record, s0) -> dict:
+def _rotor(cfg, record, s0, tracker) -> dict:
     if record.max_edge > QKR_LEAK_THRESHOLD:
         _warnings.warn(
             f"momentum-basis truncation leakage: edge probability {record.max_edge:.3e} "
@@ -515,14 +525,23 @@ def _rotor(cfg, record, s0) -> dict:
 
 def _propagate(cfg, outputs, labels, s0, engine, *args, **kwargs) -> dict:
     """Run ``engine(*args, **kwargs)`` for the config's periods, streaming each snapshot to
-    ``_dist.csv``; the report's warnings are those raised while building it."""
+    ``_dist.csv`` and, for a single kick that draws spikes, to a ``SpikeTracker``; the record
+    keeps only the last snapshot.  The report's warnings are those raised while building it."""
     kwargs.update(n_periods=cfg["n_periods"], snapshot_every=cfg["snapshot_every"])
+    b_kick = cfg.get("schedule", {}).get("b_kick", 0.0)
+    tracker = SpikeTracker(b_kick, cfg["chain"]["kick_center"]) if b_kick > 0 else None
     with _csv_stream(outputs, labels) as put:
-        record = engine(*args, **kwargs, on_snapshot=put)
+
+        def on_snapshot(period, p):
+            if tracker is not None:
+                tracker.step(period, p)
+            put(period, p)
+
+        record = engine(*args, **kwargs, on_snapshot=on_snapshot)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         variance, participation = distribution_stats(record.final_distribution, s0)
-        keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0)
+        keys = _REGISTRY[cfg["scenario"]].diagnose(cfg, record, s0, tracker)
     warnings = [str(w.message) for w in caught]
     return dict(variance=variance, participation_ratio=participation, **keys, warnings=warnings)
 
@@ -578,8 +597,9 @@ class _Scenario(NamedTuple):
     its validator, which fills in the resolved config; its runner
     ``run(cfg, outputs)``, which writes its CSV, if any, into a file that
     ``outputs.stage`` names and returns the report; and for a
-    propagation ``diagnose(cfg, record, s0)``, the report's own keys; it
-    raises its notes for the report with ``warnings.warn``."""
+    propagation ``diagnose(cfg, record, s0, tracker)``, the report's own keys
+    from the record of the last snapshot and the run's ``SpikeTracker`` or
+    None; it raises its notes for the report with ``warnings.warn``."""
 
     fields: tuple
     validate: Callable

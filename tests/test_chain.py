@@ -413,9 +413,13 @@ def test_text_array_is_a_type_error(call, name):
         (lambda: iterate_ensemble(np.array([True]), [0.0], StandardMap(1.0), 2), "x0"),
         (lambda: evolve(np.array([True, False, False, False]), ChainConfig(4, 1.0), SingleKick(0.1, 1.0), 2),
          "state"),
+        # iterate_ensemble([0.1, True], ...) ran as if x0 were [0.1, 1.0]: numpy cast the list to float
+        (lambda: iterate_ensemble([0.1, True], [0.0, 0.0], StandardMap(1.0), 1, 1), "x0"),
+        (lambda: surface_of_section([0.1, 0.2], (0.0, np.True_), StandardMap(1.0), 1), "p0"),
+        (lambda: distribution_stats([[0.5, False]], 0), "p"),
     ],
     ids=["dispersion", "dispersion-numpy", "distribution_stats", "distribution_stats-object",
-         "iterate_ensemble", "evolve"],
+         "iterate_ensemble", "evolve", "list", "tuple", "nested-list"],
 )
 def test_bool_array_is_a_type_error(call, name):
     with pytest.raises(TypeError, match=f"^{name} must hold numbers, not bool"):

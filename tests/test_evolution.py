@@ -561,11 +561,16 @@ class TestSnapshotHook:
     def test_sees_the_record_on_the_calling_thread(self, run):
         calls = []
         record = run(on_snapshot=lambda t, p: calls.append((t, p, p.copy(), threading.get_ident())))
-        assert [c[0] for c in calls] == [t for t, _ in record.snapshots] == [0, 3, 6, 9, 10]
-        for (_, p, seen, thread), (_, kept) in zip(calls, record.snapshots):
-            assert p is kept
-            np.testing.assert_array_equal(seen, kept)
+        assert [c[0] for c in calls] == [0, 3, 6, 9, 10]
+        # each snapshot of a run without the hook, unchanged after the call
+        for (_, p, seen, thread), (_, expected) in zip(calls, run().snapshots, strict=True):
+            np.testing.assert_array_equal(p, expected)
+            np.testing.assert_array_equal(seen, expected)
             assert thread == threading.get_ident()
+        # the hook has had every snapshot, so the record keeps only the last one
+        [(period, kept)] = record.snapshots
+        assert period == 10 and kept is calls[-1][1]
+        assert record.final_distribution is kept
 
     @pytest.mark.parametrize("run", HOOKED_RUNS.values(), ids=HOOKED_RUNS)
     def test_exception_ends_the_run(self, run):

@@ -21,8 +21,9 @@ of them replaced from a pool of wrong types and extreme numbers.  The same
 rule holds: a finite result or a ``ValueError`` or ``TypeError``, and no
 warning.  So do the ensemble iterators, ``iterate_ensemble`` and
 ``surface_of_section``, whose initial conditions are also replaced from a
-pool of arrays: bool and complex ones, which must be refused, and empty,
-non-finite, longer, 2-D and object ones.
+pool of arrays: bool and complex ones and a list holding a bool, which must
+be refused, and empty, non-finite, longer, 2-D and object ones, and finite
+values near 1e200, whose momentum variance overflows.
 """
 
 import cmath
@@ -306,6 +307,8 @@ ARRAYS = [
     (np.array([0.25, -0.5], dtype=object), False),
     (np.array([[0.3, -0.2]]), False),
     (np.array([0.1, 0.2, 0.3]), False),
+    ([0.1, True], True),
+    (np.array([1e200, -1e200]), False),
 ]
 ENSEMBLE_SPECS = [StandardMap(0.9), DoubleWellMap(0.35, -0.35), RescaledDoubleKickMap(0.35, 60.0),
                   RandomRescaledDoubleKickMap(0.35)]

@@ -819,6 +819,15 @@ class TestEngine:
                 expected.append(p)
         np.testing.assert_array_equal(stats.momenta, np.array(expected))
 
+    @pytest.mark.parametrize("p0", [[1e200, -1e200], [1.5e308, 1.5e308]], ids=["variance", "mean"])
+    def test_overflowed_statistics_are_refused_without_warnings(self, p0):
+        # [1e200, -1e200] warned "overflow encountered in square" and returned var_p = inf;
+        # k = 0 and one step keep every momentum and angle finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="momentum mean or variance overflowed"):
+                iterate_ensemble([0.0, 0.0], p0, StandardMap(0.0), 1, 1)
+
     def test_partial_overflow_counts_trajectories(self):
         p0 = np.zeros(6)
         p0[[1, 4]] = 1e308

@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -657,6 +659,76 @@ class TestStreamedWrite:
         assert [Path(f).name for f in result["files"]] == ["run_sos.csv", "run_report.json"]
         assert "kickedchain-csv" not in names
 
+    @staticmethod
+    def many_snapshots(tmp_path, n_periods):
+        """A rotor config whose snapshots, one a period, outpace the writer; 4096
+        states leave room for 8 queued snapshots."""
+        return {
+            "scenario": "qkr",
+            "seed": 1,
+            "output": str(tmp_path / "q"),
+            "rotor": {"k": 5.0, "hbar": 0.25, "n_basis": 4096, "initial_momentum": 0},
+            "n_periods": n_periods,
+            "snapshot_every": 1,
+        }
+
+    def test_waiting_for_room_keeps_every_snapshot_in_order(self, tmp_path):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
+        try:
+            result = run_scenario(self.many_snapshots(tmp_path, 40))
+        finally:
+            sys.setswitchinterval(interval)
+        dist = next(f for f in result["files"] if f.endswith("_dist.csv"))
+        record = qkr_evolve(0, 5.0, 0.25, 40, 4096, 1)
+        oracle_dist_csv(tmp_path / "old.csv", record.snapshots, np.arange(4096) - 2048)
+        assert Path(dist).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_writer_error_wakes_a_put_that_waits_for_room(self, tmp_path, capsys, monkeypatch):
+        def slow_failure(fh, labels, pieces):
+            time.sleep(0.05)  # the propagation fills the queue meanwhile
+            raise OSError("disk full")
+
+        engine, periods = scenario_module.qkr_evolve, []
+
+        def run(*args, on_snapshot, **kwargs):
+            def hook(t, p):
+                periods.append(t)
+                on_snapshot(t, p)
+
+            return engine(*args, on_snapshot=hook, **kwargs)
+
+        monkeypatch.setattr(floatcsv_module, "_write_pass", slow_failure)
+        monkeypatch.setattr(scenario_module, "qkr_evolve", run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.many_snapshots(tmp_path, 200)))
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(main(["run", "--config", str(path)])), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive() and codes == [1]
+        assert capsys.readouterr() == ("", "io error: disk full\n")
+        # the writer took at most one batch of up to 8 before it failed, and 8 more waited
+        assert 10 <= len(periods) <= 17
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_memory_does_not_grow_with_the_snapshots(self, tmp_path):
+        # 2001 snapshots of 4096 probabilities take 64 MiB: the record keeps the
+        # last, and a propagation that outpaces the writer waits for it rather
+        # than queue the rest
+        tracemalloc.start()
+        try:
+            result = run_scenario(self.many_snapshots(tmp_path, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for path in result["files"]:  # the CSV takes 256 MiB
+            Path(path).unlink()
+        snapshot_bytes = 8 * 4096 * 2001
+        assert peak < snapshot_bytes / 4, (peak, snapshot_bytes)
+
 
 # One small config per scenario, and the exact key set of its report.
 CHAIN_KEYS = {
@@ -785,15 +857,14 @@ class TestReportShape:
 
     def test_skipped_fit_message_comes_first(self, tmp_path, monkeypatch):
         # period 2 puts the localization window at 1 <= |d| <= 3, 6 sites where
-        # the fit needs 10; a warning of the spike scan, raised after the fit,
-        # follows the skip message
-        detect = scenario_module.detect_accelerator_modes
+        # the fit needs 10; a warning of the spike tracker's speed fit, raised
+        # after the fit, follows the skip message
+        class NotedTracker(scenario_module.SpikeTracker):
+            def tracks(self):
+                warnings.warn("spike note")
+                return super().tracks()
 
-        def noted_detect(*args):
-            warnings.warn("spike note")
-            return detect(*args)
-
-        monkeypatch.setattr(scenario_module, "detect_accelerator_modes", noted_detect)
+        monkeypatch.setattr(scenario_module, "SpikeTracker", NotedTracker)
         cfg = shape_config(tmp_path, "single_kick")
         cfg["schedule"]["period"] = 2.0
         result = run_scenario(cfg)
