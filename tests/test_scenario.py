@@ -685,11 +685,16 @@ class TestStreamedWrite:
         assert Path(dist).read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_writer_error_wakes_a_put_that_waits_for_room(self, tmp_path, capsys, monkeypatch):
-        def slow_failure(fh, labels, pieces):
-            time.sleep(0.05)  # the propagation fills the queue meanwhile
-            raise OSError("disk full")
-
         engine, periods = scenario_module.qkr_evolve, []
+
+        def failure_once_full(fh, labels, pieces):
+            # the first batch holds 1 to 8 snapshots, and 8 more fill the queue:
+            # the propagation has then taken 10 or more and waits to queue the last
+            deadline = time.monotonic() + 10
+            while len(periods) < 10 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)
+            raise OSError("disk full")
 
         def run(*args, on_snapshot, **kwargs):
             def hook(t, p):
@@ -698,7 +703,7 @@ class TestStreamedWrite:
 
             return engine(*args, on_snapshot=hook, **kwargs)
 
-        monkeypatch.setattr(floatcsv_module, "_write_pass", slow_failure)
+        monkeypatch.setattr(floatcsv_module, "_write_pass", failure_once_full)
         monkeypatch.setattr(scenario_module, "qkr_evolve", run)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(self.many_snapshots(tmp_path, 200)))
@@ -710,7 +715,6 @@ class TestStreamedWrite:
         runner.join(timeout=30)
         assert not runner.is_alive() and codes == [1]
         assert capsys.readouterr() == ("", "io error: disk full\n")
-        # the writer took at most one batch of up to 8 before it failed, and 8 more waited
         assert 10 <= len(periods) <= 17
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
