@@ -57,7 +57,7 @@ def to_array(values, name: str, dtype=float, copy=None):
     Text (``str`` or ``bytes``), which numpy would parse, a bool, which it would read as
     0 or 1, and for a real ``dtype`` a complex number, whose imaginary part it would
     drop, are a ``TypeError``, alone, as an array or inside an object array, list or
-    tuple."""
+    tuple, and so is any other object numpy cannot read as a number."""
     import numpy as np  # here, so that the config validator loads no numpy
 
     # a list or tuple is read as objects first, since numpy would cast a bool or
@@ -77,6 +77,8 @@ def to_array(values, name: str, dtype=float, copy=None):
         return np.array(values, dtype=dtype, copy=copy)
     except OverflowError:
         raise ValueError(f"{name} must be finite") from None
+    except TypeError:  # an object that is no number, as numpy's message does not say
+        raise TypeError(f"{name} must hold numbers") from None
 
 
 def check_result_bytes(n_bytes: int, what: str) -> None:
@@ -115,14 +117,17 @@ def check_reals(lower=None, strict=False, **values) -> None:
     """Raise ``ValueError`` unless each value is finite and, if given, >= ``lower`` (> if ``strict``).
 
     A value is read with ``to_float``, so an integer beyond the float range is
-    not finite; a string, which ``float`` would parse, and a bool, Python's or
+    not finite; a string, which ``float`` would parse, a bool, Python's or
     numpy's (whose type is named ``bool`` too), which ``check_integers``
-    refuses as well, are a ``TypeError``.
+    refuses as well, and anything ``float`` cannot read are a ``TypeError``.
     """
     for name, value in values.items():
-        if isinstance(value, (str, bytes, bytearray)) or type(value).__name__ == "bool":
-            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-        x = to_float(value)
+        try:
+            if isinstance(value, (str, bytes, bytearray)) or type(value).__name__ == "bool":
+                raise TypeError
+            x = to_float(value)
+        except TypeError:
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
         if not math.isfinite(x) or (lower is not None and (x <= lower if strict else x < lower)):
             bound = "" if lower is None else f" and {'>' if strict else '>='} {lower}"
             raise ValueError(f"{name} must be finite{bound}, got {x}")

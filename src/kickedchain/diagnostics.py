@@ -165,19 +165,33 @@ class SpikeTrack:
             )
 
 
+def _median(values) -> float:
+    """``np.median`` of a non-empty 1-D array of finite values, bit for bit.
+
+    numpy's median takes the middle value, or adds the two middle values and
+    halves the sum, as here.  Sorting a list keeps numpy's partition code and
+    its ``numpy.ma`` import out of the process.
+    """
+    v = sorted(values.tolist())
+    mid = len(v) // 2
+    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
+
+
 def _local_contrast(p, site):
     """Peak height relative to the median background in a surrounding ring.
 
-    On a ring of at most ``2 * MASS_WINDOW + 1`` sites the peak window covers
-    every site, so there is no background to stand above: the contrast is 0.
+    The background is the median over the distinct sites within
+    ``8 * MASS_WINDOW`` of ``site`` and outside its peak window.  On a ring of
+    at most ``2 * MASS_WINDOW + 1`` sites the peak window covers every site,
+    so there is no background to stand above: the contrast is 0.
     """
-    n = len(p)
-    ring = np.arange(site - 8 * MASS_WINDOW, site + 8 * MASS_WINDOW + 1) % n
-    peak = np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1) % n
-    outside = np.setdiff1d(ring, peak)
-    if not len(outside):
+    n, site = len(p), int(site)
+    ring = {(site + k) % n for k in range(-8 * MASS_WINDOW, 8 * MASS_WINDOW + 1)}
+    peak = {(site + k) % n for k in range(-MASS_WINDOW, MASS_WINDOW + 1)}
+    outside = list(ring - peak)
+    if not outside:
         return 0.0
-    background = np.median(p[outside])
+    background = _median(p[outside])
     return p[site] / background if background > 0 else np.inf
 
 
@@ -228,7 +242,7 @@ class SpikeTracker:
             band_radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
             self._band = np.abs(self._d) <= band_radius
         d = self._d
-        threshold = THRESHOLD_FACTOR * float(np.median(p[self._band]))
+        threshold = THRESHOLD_FACTOR * _median(p[self._band])
         for track, mask in ((self._left, d < 0), (self._right, d > 0)):
             site = _outermost_spike(p, d, mask, threshold)
             if site is None:

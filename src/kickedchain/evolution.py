@@ -118,8 +118,9 @@ def evolve(
     Per period: exchange evolution, then the kick (for double schedules:
     exchange, weak kick, exchange, strong kick).  Site probabilities are
     recorded every ``snapshot_every`` periods, plus period 0 and the final
-    period.  The state must be finite with norm**2 within
-    ``PROBABILITY_TOL`` of 1; any other is refused before the first period.
+    period.  The state must be a 1-D array of ``n_sites`` finite amplitudes
+    with norm**2 within ``PROBABILITY_TOL`` of 1; any other is refused before
+    the first period.
 
     ``on_snapshot(period, probabilities)``, if given, is called on the
     calling thread as each snapshot is taken, in period order, with a fresh
@@ -130,10 +131,10 @@ def evolve(
     """
     check_chain_phases(config, schedule)
     n = config.n_sites
-    if len(state) != n:
-        raise ValueError(f"state length {len(state)} != n_sites {config.n_sites}")
     check_propagation(n, n_periods, snapshot_every)
     amps = to_array(state, "state", complex, copy=True)
+    if amps.shape != (n,):
+        raise ValueError(f"state must be 1-D of n_sites {n} amplitudes, got shape {amps.shape}")
     norm2 = float(np.vdot(amps, amps).real)
     if not abs(norm2 - 1.0) <= PROBABILITY_TOL:  # also refuses NaN and inf
         raise ValueError(f"state norm**2 is {norm2!r}; it must be 1 within {PROBABILITY_TOL}")

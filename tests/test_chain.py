@@ -362,6 +362,21 @@ def test_string_real_is_a_type_error(call):
 
 
 @pytest.mark.parametrize(
+    "call, name, kind",
+    [
+        (lambda: ChainConfig(16, None), "j1", "NoneType"),
+        (lambda: SingleKick(object(), 1.0), "b_kick", "object"),
+        (lambda: StandardMap([0.9]), "k", "list"),
+    ],
+    ids=["ChainConfig-j1", "SingleKick-b_kick", "StandardMap-k"],
+)
+def test_object_real_is_a_type_error_that_names_it(call, name, kind):
+    # each raised float()'s own TypeError, which names no argument
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, got {kind}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "call, name",
     [
         (lambda: ChainConfig(16, True), "j1"),

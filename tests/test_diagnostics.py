@@ -18,6 +18,7 @@ from kickedchain import (
     fit_localization_length,
 )
 from kickedchain._limits import LimitError
+from kickedchain.diagnostics import MASS_WINDOW, _local_contrast, _median
 
 
 def two_sided_exponential(n, s0, length):
@@ -365,3 +366,53 @@ def test_fit_and_detector_refuse_non_integer_center(center):
         fit_localization_length(p, center, (10.0, 200.0))
     with pytest.raises(TypeError, match="s0 must be an integer"):
         detect_accelerator_modes(synthetic_spike_record(), 0.25, center)
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+# values a median may meet: zeros, ties, subnormals, and ordinary probabilities
+MEDIAN_POOL = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17, 0.1, 0.1, 0.3, 1 / 3, 0.5, 1.0]
+
+
+class TestMedianAndContrast:
+    """The standard-library median and contrast give numpy's bits."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from(MEDIAN_POOL), st.floats(0.0, 1.0)), min_size=1, max_size=300
+        )
+    )
+    def test_median_is_numpy_median(self, values):
+        x = np.array(values)
+        assert bits(_median(x)) == bits(np.median(x)), values
+
+    @staticmethod
+    def setdiff_contrast(p, site):
+        """The contrast as numpy's set difference and median gave it."""
+        n = len(p)
+        ring = np.arange(site - 8 * MASS_WINDOW, site + 8 * MASS_WINDOW + 1) % n
+        peak = np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1) % n
+        outside = np.setdiff1d(ring, peak)
+        if not len(outside):
+            return 0.0
+        background = np.median(p[outside])
+        return p[site] / background if background > 0 else np.inf
+
+    def test_contrast_is_the_setdiff_median_contrast(self):
+        # rings of 21 sites or fewer have no background (contrast 0), and
+        # rings under 161 sites wrap the index ring onto itself
+        rng = np.random.default_rng(27)
+        for n in range(1, 401):
+            # half the sites from the pool, half uniform, one in eight zero
+            p = np.where(rng.random(n) < 0.5, rng.choice(MEDIAN_POOL, n), rng.random(n))
+            p[rng.random(n) < 0.125] = 0.0
+            p[rng.integers(0, n)] = 1.0
+            p /= p.sum()
+            for site in {0, n // 2, n - 1, int(rng.integers(0, n))}:
+                with np.errstate(over="ignore"):  # a subnormal background
+                    got, want = _local_contrast(p, np.int64(site)), self.setdiff_contrast(p, site)
+                assert bits(got) == bits(want), (n, site)
+                assert n > 2 * MASS_WINDOW + 1 or got == 0.0

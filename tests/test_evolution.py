@@ -174,6 +174,29 @@ class TestEvolve:
         with pytest.raises(ValueError, match=rf"state norm\*\*2 is {norm2}; it must be 1 within 1e-06"):
             evolve(state, ChainConfig(64, 1.0), SingleKick(0.1, 1.0), 4)
 
+    @pytest.mark.parametrize(
+        "state, shape",
+        [
+            (delta_state(16, 8).reshape(16, 1), r"\(16, 1\)"),
+            (np.column_stack([delta_state(16, 8)] * 2) / np.sqrt(2), r"\(16, 2\)"),
+            (np.array(1.0), r"\(\)"),
+            (None, r"\(\)"),
+            (delta_state(8, 3), r"\(8,\)"),
+        ],
+        ids=["column", "two-columns", "0-D", "None", "short"],
+    )
+    def test_refuses_state_that_is_not_one_amplitude_per_site(self, state, shape):
+        # a 2-D state of 16 rows raised numpy's "only 0-dimensional arrays can
+        # be converted to Python scalars" from the engine, and a 0-D one or
+        # None the TypeError of len()
+        with pytest.raises(ValueError, match=f"^state must be 1-D of n_sites 16 amplitudes, got shape {shape}$"):
+            evolve(state, ChainConfig(16, 1.0), SingleKick(0.1, 1.0), 4)
+
+    def test_refuses_state_that_holds_no_numbers(self):
+        # numpy's TypeError ("must be real number, not object") named no argument
+        with pytest.raises(TypeError, match="^state must hold numbers$"):
+            evolve(object(), ChainConfig(16, 1.0), SingleKick(0.1, 1.0), 4)
+
     @pytest.mark.parametrize("norm2, ok", [(1 + 0.9e-6, True), (1 - 0.9e-6, True), (1 + 1.1e-6, False)])
     def test_state_norm_tolerance(self, norm2, ok):
         state = delta_state(64, 32) * np.sqrt(norm2)

@@ -24,10 +24,19 @@ warning.  So do the ensemble iterators, ``iterate_ensemble`` and
 pool of arrays: bool and complex ones and a list holding a bool, which must
 be refused, and empty, non-finite, longer, 2-D and object ones, and finite
 values near 1e200, whose momentum variance overflows.
+
+The propagators, ``evolve``, ``qkr_evolve`` and ``build_floquet``, and the
+constructors of ``ChainConfig``, the three kick schedules and the five map
+specs are called the same way; ``evolve``'s state is also replaced from a
+pool of states that are not normalized, not finite, of the wrong length or
+2-D.  The same rule holds, and a propagation that returns holds one
+distribution of the basis's length per snapshot.  A ``TypeError`` there must
+name an argument that was replaced.
 """
 
 import cmath
 import dataclasses
+import inspect
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -37,27 +46,34 @@ from hypothesis import strategies as st
 
 from kickedchain import (
     ChainConfig,
+    DoubleKick,
+    DoubleKickMap,
     DoubleWellMap,
     FeasibilityReport,
     LocalizationFit,
     PropagationRecord,
+    RandomDoubleKick,
     RandomRescaledDoubleKickMap,
     RescaledDoubleKickMap,
+    SingleKick,
     SpikeTrack,
     SpikeTracker,
     StandardMap,
+    build_floquet,
     cell_occupancy,
     cyclic_displacements,
     delta_state,
     detect_accelerator_modes,
     dispersion,
     distribution_stats,
+    evolve,
     feasibility,
     fit_localization_length,
     fixed_point_stability,
     iterate_ensemble,
     magnon_state,
     map_step,
+    qkr_evolve,
     rotor_image,
     surface_of_section,
     wavenumber_grid,
@@ -338,3 +354,77 @@ def test_ensemble_calls_return_finite_or_refuse(name, spec, data):
     assert not refused, result
     for value in numbers(result):
         assert np.all(np.isfinite(value)), result
+
+
+SCHEDULES = [SingleKick(0.3, 2.0), DoubleKick(0.05, 0.5, 2.0), RandomDoubleKick(0.05, 2.0, 3)]
+CHAINS = [RING, ChainConfig(16, 1.0, 0.3, 5, "nnn_ladder"), ChainConfig(16, -0.7, model="antiferro_linear")]
+STATE = delta_state(16, 8)
+# States that replace evolve's, each with whether it may never be valid there.
+STATES = [
+    (np.full(16, 0.25), False),
+    (list(STATE), False),
+    (STATE.astype(object), False),
+    (np.ones(16), True),
+    (np.where(STATE == 1, np.nan, 0.0), True),
+    (np.full(16, np.inf), True),
+    (np.full(16, 1e200), True),
+    (np.zeros(16, dtype=bool), True),
+    (np.array([object()] * 16), True),
+    (delta_state(8, 3), True),
+    (STATE.reshape(4, 4), True),
+    (STATE.reshape(16, 1), True),
+    (np.stack([STATE, STATE], axis=1) / np.sqrt(2), True),
+    (np.array(1.0), True),
+]
+# Each call with valid arguments, and the positions that no value of BAD may
+# take: a snapshot_every of 10**400 is valid, and a ChainConfig's kick_center
+# may be None.
+BUILDS = {
+    "evolve": (evolve, (STATE, RING, SCHEDULES[0], 3, 2), {0, 1, 2, 3}),
+    "qkr_evolve": (qkr_evolve, (0, 1.5, 0.5, 3, 16, 2), {0, 1, 2, 3, 4}),
+    "build_floquet": (build_floquet, (RING, SCHEDULES[0]), {0, 1}),
+    "ChainConfig": (ChainConfig, (16, 1.0, 0.0, 8, "ferromagnet"), {0, 1, 2, 4}),
+    "SingleKick": (SingleKick, (0.3, 2.0), {0, 1}),
+    "DoubleKick": (DoubleKick, (0.05, 0.5, 2.0), {0, 1, 2}),
+    "RandomDoubleKick": (RandomDoubleKick, (0.05, 2.0, 3), {0, 1, 2}),
+    "StandardMap": (StandardMap, (0.9,), {0}),
+    "DoubleKickMap": (DoubleKickMap, (0.8, 0.05, 2.0), {0, 1, 2}),
+    "RescaledDoubleKickMap": (RescaledDoubleKickMap, (0.35, 60.0), {0, 1}),
+    "RandomRescaledDoubleKickMap": (RandomRescaledDoubleKickMap, (0.35,), {0}),
+    "DoubleWellMap": (DoubleWellMap, (0.35, -0.35), {0, 1}),
+}
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILDS)),
+    chain=st.sampled_from(CHAINS),
+    schedule=st.sampled_from(SCHEDULES),
+    data=st.data(),
+)
+def test_propagators_and_specs_return_finite_or_refuse(name, chain, schedule, data):
+    call, args, strict = BUILDS[name]
+    args = list(args)
+    if call in (evolve, build_floquet):
+        first = int(call is evolve)
+        args[first:first + 2] = chain, schedule
+    names = list(inspect.signature(call).parameters)
+    refused, replaced = False, set()
+    for i in data.draw(st.sets(st.sampled_from(range(len(args))), min_size=1, max_size=2)):
+        pool = REPLACEMENTS + STATES if call is evolve and i == 0 else REPLACEMENTS
+        args[i], bad = data.draw(st.sampled_from(pool))
+        refused |= bad and i in strict
+        replaced.add(names[i])
+    result = outcome(lambda: call(*args))
+    if isinstance(result, TypeError):
+        assert any(str(result).startswith(f"{n} ") for n in replaced), (replaced, result)
+    if isinstance(result, Exception):
+        return
+    assert not refused, result
+    for value in numbers(result):
+        assert np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else cmath.isfinite(value), result
+    if isinstance(result, PropagationRecord):
+        n = len(result.final_state)
+        assert result.final_state.shape == (n,) and n == (16 if call is evolve else args[4])
+        for _, p in result.snapshots:
+            assert p.shape == (n,) and abs(p.sum() - 1.0) <= 1e-6, result

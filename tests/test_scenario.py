@@ -1607,6 +1607,33 @@ class TestCli:
         assert len(steps) == 15
         assert out.stdout.splitlines()[-1] == str([False] * 14 + [True])
 
+    def test_spike_tracking_loads_no_numpy_ma(self, tmp_path):
+        # a single kick that tracks spikes and fits the localization length
+        # takes its medians with the standard library, so the run does not
+        # load numpy.ma, which np.median imports
+        config = tmp_path / "spikes.json"
+        config.write_text(json.dumps(small_single_kick(
+            tmp_path,
+            chain={"n_sites": 512, "j1": 0.2},
+            schedule={"b_kick": 1 / 15, "period": 100.0},
+            n_periods=6,
+            snapshot_every=1,
+            initial={"delta_site": 256},
+        )))
+        code = (
+            "import sys\nfrom kickedchain.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kickedchain.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert report["loc_length"] is not None and report["spikes"]
+        assert None not in report["spike_speeds"].values() and len(report["spike_speeds"]) == 2
+        assert out.stdout.splitlines()[-1] == "False"
+
 
 class TestPackageExports:
     HOMES = ("chain", "diagnostics", "evolution", "feasibility", "maps")
