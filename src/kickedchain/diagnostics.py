@@ -169,8 +169,10 @@ def _median(values) -> float:
     """``np.median`` of a non-empty 1-D array of finite values, bit for bit.
 
     numpy's median takes the middle value, or adds the two middle values and
-    halves the sum, as here.  Sorting a list keeps numpy's partition code and
-    its ``numpy.ma`` import out of the process.
+    halves the sum, as here.  Sorting a list keeps ``np.median``'s
+    ``numpy.ma`` import out of the process; it is used for the at most 140
+    background sites of :func:`_local_contrast`, where it is also faster than
+    a numpy call.
     """
     v = sorted(values.tolist())
     mid = len(v) // 2
@@ -225,7 +227,7 @@ class SpikeTracker:
         self._b_kick, self._center = b_kick, center
         self._left, self._right = SpikeTrack(side="left"), SpikeTrack(side="right")
         self.n_snapshots = 0
-        self._period = self._d = self._band = None
+        self._period = self._d = self._band = self._band_radius = None
 
     def step(self, period, p) -> None:
         p = _check_probability(p)
@@ -239,10 +241,13 @@ class SpikeTracker:
         n = len(p)
         if self._d is None:
             self._d = cyclic_displacements(n, self._center)
-            band_radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
-            self._band = np.abs(self._d) <= band_radius
-        d = self._d
-        threshold = THRESHOLD_FACTOR * _median(p[self._band])
+            self._band_radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
+            self._band = np.abs(self._d) <= self._band_radius
+        d, r = self._d, self._band_radius
+        # the band holds 2 * r + 1 sites, an odd count, so its median is the
+        # value of rank r: partitioning finds it in time linear in the band,
+        # which may hold half the ring, with np.median's bits
+        threshold = THRESHOLD_FACTOR * float(np.partition(p[self._band], r)[r])
         for track, mask in ((self._left, d < 0), (self._right, d > 0)):
             site = _outermost_spike(p, d, mask, threshold)
             if site is None:

@@ -222,9 +222,7 @@ def iterate_ensemble(
 
     _advance(x, p, spec, n_steps, seed, record)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        # one row at a time, the same bits as var(axis=1) without its
-        # records x trajectories temporary
-        mean_p, var_p = momenta.mean(axis=1), np.array([row.var() for row in momenta])
+        mean_p, var_p = momenta.mean(axis=1), momenta.var(axis=1)
     if not (np.isfinite(mean_p).all() and np.isfinite(var_p).all()):
         raise ValueError("the momentum mean or variance overflowed; every momentum is finite")
     return EnsembleStats(steps=np.array(steps), mean_p=mean_p, var_p=var_p, momenta=momenta)

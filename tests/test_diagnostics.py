@@ -18,7 +18,14 @@ from kickedchain import (
     fit_localization_length,
 )
 from kickedchain._limits import LimitError
-from kickedchain.diagnostics import MASS_WINDOW, _local_contrast, _median
+import kickedchain.diagnostics as diagnostics
+from kickedchain.diagnostics import (
+    MASS_WINDOW,
+    THRESHOLD_FACTOR,
+    SpikeTracker,
+    _local_contrast,
+    _median,
+)
 
 
 def two_sided_exponential(n, s0, length):
@@ -377,7 +384,7 @@ MEDIAN_POOL = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17, 0.1,
 
 
 class TestMedianAndContrast:
-    """The standard-library median and contrast give numpy's bits."""
+    """The spike tracker's medians and contrast give numpy's bits."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -416,3 +423,25 @@ class TestMedianAndContrast:
                     got, want = _local_contrast(p, np.int64(site)), self.setdiff_contrast(p, site)
                 assert bits(got) == bits(want), (n, site)
                 assert n > 2 * MASS_WINDOW + 1 or got == 0.0
+
+    def test_band_threshold_is_the_numpy_median(self, monkeypatch):
+        # the band's median is a partition at the band radius; it must give
+        # np.median's bits for every band, from one site to half the ring
+        thresholds = []
+        monkeypatch.setattr(
+            diagnostics, "_outermost_spike", lambda p, d, mask, threshold: thresholds.append(threshold)
+        )
+        rng = np.random.default_rng(28)
+        for n in [*range(1, 70), 161, 400, 4097]:
+            for b_kick in (1e-6, 0.1, 0.25, 2.0):
+                p = np.where(rng.random(n) < 0.5, rng.choice(MEDIAN_POOL, n), rng.random(n))
+                p[rng.random(n) < 0.125] = 0.0
+                p[rng.integers(0, n)] = 1.0
+                p /= p.sum()
+                center = int(rng.integers(0, n))
+                thresholds.clear()
+                SpikeTracker(b_kick, center).step(0, p)
+                radius = int(min(max(2.0 * np.pi / b_kick, 5), n // 4))
+                band = np.abs(cyclic_displacements(n, center)) <= radius
+                want = bits(THRESHOLD_FACTOR * float(np.median(p[band])))
+                assert [bits(t) for t in thresholds] == [want, want], (n, b_kick)

@@ -828,25 +828,6 @@ class TestEngine:
             with pytest.raises(ValueError, match="momentum mean or variance overflowed"):
                 iterate_ensemble([0.0, 0.0], p0, StandardMap(0.0), 1, 1)
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(
-        n=st.one_of(st.integers(1, 300), st.integers(300, 30000)),
-        n_steps=st.integers(1, 30),
-        record_every=st.integers(1, 7),
-        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
-        spec=st.sampled_from(ALL_SPECS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_var_p_is_the_variance_along_each_record(self, n, n_steps, record_every, scale, spec, seed):
-        # var_p is taken one record row at a time; it must give the bits of
-        # the whole-array var(axis=1)
-        rng = np.random.default_rng(seed)
-        x0, p0 = rng.uniform(0, 2 * np.pi, n), scale * rng.normal(size=n)
-        stats = iterate_ensemble(x0, p0, spec, n_steps, record_every, seed=seed)
-        expected = stats.momenta.var(axis=1)
-        assert stats.var_p.shape == expected.shape
-        assert stats.var_p.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-
     def test_partial_overflow_counts_trajectories(self):
         p0 = np.zeros(6)
         p0[[1, 4]] = 1e308

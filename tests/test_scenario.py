@@ -1609,8 +1609,8 @@ class TestCli:
 
     def test_spike_tracking_loads_no_numpy_ma(self, tmp_path):
         # a single kick that tracks spikes and fits the localization length
-        # takes its medians with the standard library, so the run does not
-        # load numpy.ma, which np.median imports
+        # takes its medians without np.median, so the run does not load
+        # numpy.ma, which np.median imports
         config = tmp_path / "spikes.json"
         config.write_text(json.dumps(small_single_kick(
             tmp_path,
