@@ -8,6 +8,7 @@ for double-kick schedules.  All site arithmetic is cyclic (ring topology).
 
 from __future__ import annotations
 
+import functools
 import operator
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -102,11 +103,12 @@ class LocalizationFit:
         return np.isfinite(self.length) and self.length > 0 and self.r_squared >= EXPONENTIAL_R2_MIN
 
 
-def _wing_fit(d, lnp):
-    slope, intercept = np.polyfit(d, lnp, 1)
-    pred = slope * d + intercept
-    ss_res = float(np.sum((lnp - pred) ** 2))
-    ss_tot = float(np.sum((lnp - lnp.mean()) ** 2))
+def _line_fit(x, y):
+    """Slope and r-squared of the least-squares line through the points ``(x, y)``."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return slope, r2
 
@@ -131,7 +133,7 @@ def fit_localization_length(p, s0: int, fit_window: tuple[float, float]) -> Loca
     for sign in (+1, -1):
         mask = (sign * d >= d_min) & (sign * d <= d_max) & (p > LOG_FLOOR)
         if np.count_nonzero(mask) >= 2:
-            wings.append(_wing_fit(np.abs(d[mask]).astype(float), np.log(p[mask])))
+            wings.append(_line_fit(np.abs(d[mask]).astype(float), np.log(p[mask])))
         n_points += int(np.count_nonzero(mask))
     if n_points < 10:
         raise ValueError(f"insufficient data: {n_points} usable sites in window, need >= 10")
@@ -160,23 +162,30 @@ class SpikeTrack:
 
     def _fit_speed(self):
         if len(self.periods) >= 2:
-            self.speed = float(
-                np.polyfit(np.asarray(self.periods, float), np.abs(self.displacements), 1)[0]
-            )
+            x = np.asarray(self.periods, float)
+            self.speed = float(_line_fit(x, np.abs(self.displacements).astype(float))[0])
 
 
 def _median(values) -> float:
     """``np.median`` of a non-empty 1-D array of finite values, bit for bit.
 
     numpy's median takes the middle value, or adds the two middle values and
-    halves the sum, as here.  Sorting a list keeps ``np.median``'s
-    ``numpy.ma`` import out of the process; it is used for the at most 140
-    background sites of :func:`_local_contrast`, where it is also faster than
-    a numpy call.
+    halves the sum, as here.  One partition at the middle leaves the lower
+    middle value as the largest of the lower half, in time linear in the
+    count, and keeps ``np.median``'s ``numpy.ma`` import out of the process.
     """
-    v = sorted(values.tolist())
-    mid = len(v) // 2
-    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
+    mid = len(values) // 2
+    v = np.partition(values, mid)
+    upper = float(v[mid])
+    return upper if len(v) % 2 else (float(v[:mid].max()) + upper) / 2
+
+
+@functools.lru_cache(maxsize=1)
+def _background_offsets(n):
+    """Offsets mod ``n`` within ``8 * MASS_WINDOW`` of a site and outside its peak window."""
+    ring = {k % n for k in range(-8 * MASS_WINDOW, 8 * MASS_WINDOW + 1)}
+    peak = {k % n for k in range(-MASS_WINDOW, MASS_WINDOW + 1)}
+    return np.array(sorted(ring - peak), dtype=np.intp)
 
 
 def _local_contrast(p, site):
@@ -187,14 +196,13 @@ def _local_contrast(p, site):
     at most ``2 * MASS_WINDOW + 1`` sites the peak window covers every site,
     so there is no background to stand above: the contrast is 0.
     """
-    n, site = len(p), int(site)
-    ring = {(site + k) % n for k in range(-8 * MASS_WINDOW, 8 * MASS_WINDOW + 1)}
-    peak = {(site + k) % n for k in range(-MASS_WINDOW, MASS_WINDOW + 1)}
-    outside = list(ring - peak)
-    if not outside:
+    offsets = _background_offsets(len(p))
+    if not len(offsets):
         return 0.0
-    background = _median(p[outside])
-    return p[site] / background if background > 0 else np.inf
+    background = _median(p[(int(site) + offsets) % len(p)])
+    # in Python floats, whose quotient of a subnormal background is inf
+    # without numpy's overflow warning
+    return float(p[site]) / background if background > 0 else np.inf
 
 
 def _outermost_spike(p, d, side_mask, threshold):
@@ -224,10 +232,11 @@ class SpikeTracker:
 
     def __init__(self, b_kick: float, center: int):
         check_reals(0, True, b_kick=b_kick)
+        check_integers(center=center)
         self._b_kick, self._center = b_kick, center
         self._left, self._right = SpikeTrack(side="left"), SpikeTrack(side="right")
         self.n_snapshots = 0
-        self._period = self._d = self._band = self._band_radius = None
+        self._period = self._d = self._band = None
 
     def step(self, period, p) -> None:
         p = _check_probability(p)
@@ -241,13 +250,10 @@ class SpikeTracker:
         n = len(p)
         if self._d is None:
             self._d = cyclic_displacements(n, self._center)
-            self._band_radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
-            self._band = np.abs(self._d) <= self._band_radius
-        d, r = self._d, self._band_radius
-        # the band holds 2 * r + 1 sites, an odd count, so its median is the
-        # value of rank r: partitioning finds it in time linear in the band,
-        # which may hold half the ring, with np.median's bits
-        threshold = THRESHOLD_FACTOR * float(np.partition(p[self._band], r)[r])
+            radius = int(min(max(2.0 * np.pi / self._b_kick, 5), n // 4))
+            self._band = np.abs(self._d) <= radius
+        d = self._d
+        threshold = THRESHOLD_FACTOR * _median(p[self._band])
         for track, mask in ((self._left, d < 0), (self._right, d > 0)):
             site = _outermost_spike(p, d, mask, threshold)
             if site is None:
@@ -282,26 +288,14 @@ def detect_accelerator_modes(
     above the median background around it.  Qualifying spikes are accumulated
     into a left and a right track with the per-spike mass summed over a
     +-``MASS_WINDOW`` site window; no qualifying spike is not an error, it
-    just leaves the track empty.  Each snapshot must be a distribution, as in
-    :func:`distribution_stats`, and all of one length; the snapshot periods
-    must be integers that increase strictly, as :func:`evolve` writes them.
-    The snapshots go through a :class:`SpikeTracker` in order.
+    just leaves the track empty.  The snapshots go through a
+    :class:`SpikeTracker` in order, which checks each as it comes, so a
+    record is refused at its first faulty snapshot with the tracker's
+    message; it must hold at least 3 snapshots.
     """
     check_type(record, PropagationRecord, "record", "a PropagationRecord")
     tracker = SpikeTracker(b_kick, center)
-    if len(record.snapshots) < 3:
-        raise ValueError("need at least 3 snapshots to track spikes")
-    # The whole record is checked first, so that which fault it is refused
-    # for does not depend on the order of its snapshots.
-    snapshots = [(period, _check_probability(p)) for period, p in record.snapshots]
-    periods = [period for period, _ in snapshots]
-    check_integers(**{f"the period of snapshot {i}": t for i, t in enumerate(periods)})
-    if any(later <= earlier for earlier, later in zip(periods, periods[1:])):
-        raise ValueError(f"snapshot periods must increase strictly, got {periods}")
-    n = len(snapshots[0][1])
-    if any(len(p) != n for _, p in snapshots):
-        raise ValueError(f"snapshots must all have one length, the first has {n}")
-    for period, p in snapshots:
+    for period, p in record.snapshots:
         tracker.step(period, p)
     return tracker.tracks()
 
@@ -314,6 +308,7 @@ def cell_occupancy(p, b_weak: float, center: int) -> float:
     warning.
     """
     check_reals(0, True, b_weak=b_weak)
+    check_integers(center=center)
     p = _check_probability(p)
     n = len(p)
     d = cyclic_displacements(n, center)

@@ -1,5 +1,7 @@
 """Distribution-observable tests with synthetic and propagated data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from kickedchain._limits import LimitError
 import kickedchain.diagnostics as diagnostics
 from kickedchain.diagnostics import (
     MASS_WINDOW,
+    MIN_CONTRAST,
     THRESHOLD_FACTOR,
     SpikeTracker,
     _local_contrast,
@@ -300,10 +303,10 @@ class TestAcceleratorDetector:
     @pytest.mark.parametrize(
         "periods, error, match",
         [
-            ((0, 0, 0), ValueError, r"periods must increase strictly, got \[0, 0, 0\]"),
+            ((0, 0, 0), ValueError, "periods must increase strictly, got 0 after 0"),
             ((0, np.nan, 2), TypeError, "snapshot 1 must be an integer, got float"),
             ((0, "1", 2), TypeError, "snapshot 1 must be an integer, got str"),
-            ((2, 1, 0), ValueError, r"periods must increase strictly, got \[2, 1, 0\]"),
+            ((2, 1, 0), ValueError, "periods must increase strictly, got 1 after 2"),
             ((0, 1.5, 3), TypeError, "snapshot 1 must be an integer, got float"),
             ((0, True, 2), TypeError, "snapshot 1 must be an integer, not bool"),
         ],
@@ -362,7 +365,7 @@ class TestCellOccupancy:
     @pytest.mark.parametrize("b_weak", [0.1, 0.01])
     def test_rejects_fractional_center(self, b_weak):
         # 1.5 used to return 0.96875, or 1.0 for a cell wider than the chain
-        with pytest.raises(TypeError, match="s0 must be an integer, got float"):
+        with pytest.raises(TypeError, match="center must be an integer, got float"):
             cell_occupancy(np.full(64, 1 / 64), b_weak, 1.5)
 
 
@@ -371,8 +374,21 @@ def test_fit_and_detector_refuse_non_integer_center(center):
     p = two_sided_exponential(2048, 1024, 50.0)
     with pytest.raises(TypeError, match="s0 must be an integer"):
         fit_localization_length(p, center, (10.0, 200.0))
-    with pytest.raises(TypeError, match="s0 must be an integer"):
+    with pytest.raises(TypeError, match="^center must be an integer"):
         detect_accelerator_modes(synthetic_spike_record(), 0.25, center)
+
+
+@pytest.mark.parametrize(
+    "center, got", [(1.5, "got float"), (True, "not bool"), (None, "got NoneType"), ("3", "got str")]
+)
+def test_tracker_and_occupancy_name_the_center(center, got):
+    # both named s0, the argument of cyclic_displacements that no caller
+    # passes, and the tracker was built and refused only at its first step
+    match = f"^center must be an integer, {got}$"
+    with pytest.raises(TypeError, match=match):
+        SpikeTracker(0.3, center)
+    with pytest.raises(TypeError, match=match):
+        cell_occupancy(np.full(64, 1 / 64), 0.3, center)
 
 
 def bits(x) -> str:
@@ -424,6 +440,17 @@ class TestMedianAndContrast:
                 assert bits(got) == bits(want), (n, site)
                 assert n > 2 * MASS_WINDOW + 1 or got == 0.0
 
+    def test_subnormal_background_is_an_infinite_contrast_without_warning(self):
+        # the quotient overflowed in numpy, which warned
+        p = np.full(24, 2.22507386e-311)
+        p[1] = 1.0
+        record = PropagationRecord([(t, p) for t in range(3)], final_state=p, max_edge=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _local_contrast(p, 1) == np.inf
+            left, right = detect_accelerator_modes(record, 0.05, 0)
+        assert left.sites == [] and right.sites == [1, 1, 1]
+
     def test_band_threshold_is_the_numpy_median(self, monkeypatch):
         # the band's median is a partition at the band radius; it must give
         # np.median's bits for every band, from one site to half the ring
@@ -445,3 +472,37 @@ class TestMedianAndContrast:
                 band = np.abs(cyclic_displacements(n, center)) <= radius
                 want = bits(THRESHOLD_FACTOR * float(np.median(p[band])))
                 assert [bits(t) for t in thresholds] == [want, want], (n, b_kick)
+
+    def test_many_candidates_pick_the_setdiff_median_spikes(self, monkeypatch):
+        # a weak kick on a wide ring: the band is a quarter of the ring, and
+        # hundreds of local maxima clear its threshold on each snapshot, tried
+        # from the outermost in until one stands out of its background
+        n, b_kick = 16384, 1e-3
+        cfg = ChainConfig(n_sites=n, j1=1.0)
+        center = cfg.kick_center
+        record = evolve(delta_state(n, center), cfg, SingleKick(b_kick, 20.0), 20, 10)
+        calls = []
+        contrast = diagnostics._local_contrast
+        monkeypatch.setattr(
+            diagnostics, "_local_contrast", lambda p, site: calls.append(site) or contrast(p, site)
+        )
+        tracks = detect_accelerator_modes(record, b_kick, center)
+        assert len(calls) > 1000
+        assert [track.sites[-1] for track in tracks] == [7920, 8464]
+
+        d = cyclic_displacements(n, center)
+        band = np.abs(d) <= n // 4
+        for track, side in zip(tracks, (d < 0, d > 0)):
+            periods, sites, masses = [], [], []
+            for period, p in record.snapshots:
+                threshold = THRESHOLD_FACTOR * np.median(p[band])
+                is_max = (p > np.roll(p, 1)) & (p > np.roll(p, -1)) & (p >= threshold) & side
+                for site in sorted(np.nonzero(is_max)[0], key=lambda s: -abs(d[s])):
+                    if self.setdiff_contrast(p, site) >= MIN_CONTRAST:
+                        window = np.arange(site - MASS_WINDOW, site + MASS_WINDOW + 1) % n
+                        periods.append(period)
+                        sites.append(int(site))
+                        masses.append(bits(p[window].sum()))
+                        break
+            assert (track.periods, track.sites) == (periods, sites)
+            assert [bits(m) for m in track.masses] == masses
