@@ -9,6 +9,7 @@ for double-kick schedules.  All site arithmetic is cyclic (ring topology).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -100,7 +101,7 @@ class LocalizationFit:
     @property
     def exponential(self) -> bool:
         """Whether the profile decays and the fit explains it."""
-        return np.isfinite(self.length) and self.length > 0 and self.r_squared >= EXPONENTIAL_R2_MIN
+        return math.isfinite(self.length) and self.length > 0 and self.r_squared >= EXPONENTIAL_R2_MIN
 
 
 def _line_fit(x, y):

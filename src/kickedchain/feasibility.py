@@ -10,6 +10,7 @@ enough that the instantaneous-kick (split-step) picture holds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 from ._limits import LimitError, check_integers, check_reals
@@ -95,6 +96,9 @@ def feasibility(
     if not 0 < n_sites <= _MAX_SITES:
         raise ValueError(f"n_sites must be > 0 and <= {_MAX_SITES}")
     check_reals(0, True, j_hz=j_hz, t0_seconds=t0_seconds)
+    # in Python numbers, so that a numpy float32 or int64 argument neither overflows nor wraps
+    b_range_au, n_sites, j_hz = float(b_range_au), operator.index(n_sites), float(j_hz)
+    t0_seconds = float(t0_seconds)
 
     b_kick = 2.0 * b_range_au / n_sites**2
     j_au = j_hz * AU_TIME_SECONDS

@@ -14,6 +14,7 @@ import dataclasses
 import importlib
 import json
 import math
+import operator
 import os
 import shutil
 import threading
@@ -22,7 +23,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._limits import LimitError, check_ensemble, check_propagation, check_rotor, to_float
+from ._limits import (
+    LimitError, check_ensemble, check_integers, check_propagation, check_reals, check_rotor
+)
 from .feasibility import DEFAULT_T0_SECONDS, feasibility
 from .specs import (
     ChainConfig,
@@ -93,22 +96,22 @@ def __getattr__(name):
 
 
 class ConfigError(ValueError):
-    """Config schema violation; the message names the offending field path."""
+    """Config schema violation; the message names the offending section and field."""
 
 
-# The validator checks shape, types and paths; each value rule is the library's,
-# run through ``_checked``.  It keeps the rules no library function holds (the
-# seed range, period > 0 as the library runs period 0 as a no-op,
-# |initial_momentum| <= 2**53, p_jitter), those held only in modules that load
-# numpy (delta_site, magnon_m, n_trajectories >= 1, non-empty points), and
-# hbar > 0 and n_basis >= 2, whose section check_rotor cannot name.
+# The validator checks shape and paths; each type and value rule is the
+# library's, run through ``_checked``, numbers through ``check_reals`` and
+# ``check_integers``.  It keeps the rules no library function holds (the seed
+# range, period > 0 as the library runs period 0 as a no-op,
+# |initial_momentum| <= 2**53, p_jitter) and those held only in modules that
+# load numpy (delta_site, magnon_m, n_trajectories >= 1, non-empty points).
 def _checked(path, fn, *args, **kwargs):
     """Call ``fn``; a rule it breaks is a ``ConfigError`` at ``path``, a ``LimitError`` passes."""
     try:
         return fn(*args, **kwargs)
     except LimitError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -131,26 +134,17 @@ def _keys(obj, path, required, optional=()):
 
 
 def _number(obj, path, key, minimum=None, exclusive=False):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    v = to_float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite")
-    if minimum is not None and (v <= minimum if exclusive else v < minimum):
-        op = ">" if exclusive else ">="
-        raise ConfigError(f"{path}.{key}: must be {op} {minimum}")
-    return v
+    _checked(path, check_reals, minimum, exclusive, **{key: obj[key]})
+    return float(obj[key])
 
 
 def _integer(obj, path, key, minimum=None, maximum=None):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
+    _checked(path, check_integers, **{key: obj[key]})
+    v = operator.index(obj[key])
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}")
+        raise ConfigError(f"{path}: {key} must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}")
+        raise ConfigError(f"{path}: {key} must be <= {maximum}, got {v}")
     return v
 
 
@@ -226,17 +220,9 @@ def _validate_classical_initial(obj, path):
         if not isinstance(pts, list) or not pts:
             raise ConfigError(f"{path}.points: expected a non-empty list of [x, p] pairs")
         for i, pt in enumerate(pts):
-            if (
-                not isinstance(pt, list)
-                or len(pt) != 2
-                or any(
-                    isinstance(c, bool)
-                    or not isinstance(c, (int, float))
-                    or not math.isfinite(to_float(c))
-                    for c in pt
-                )
-            ):
-                raise ConfigError(f"{path}.points[{i}]: expected a finite [x, p] number pair")
+            if not isinstance(pt, list) or len(pt) != 2:
+                raise ConfigError(f"{path}.points[{i}]: expected an [x, p] pair")
+            _checked(f"{path}.points[{i}]", check_reals, x=pt[0], p=pt[1])
         return {"points": [[float(x), float(p)] for x, p in pts]}
     if set(obj) == {"uniform_x"}:
         path = f"{path}.uniform_x"
@@ -273,8 +259,8 @@ def _validate_qkr(raw, out):
     rotor = _keys(raw["rotor"], "config.rotor", required=("k", "hbar", "n_basis", "initial_momentum"))
     out["rotor"] = {
         "k": _number(rotor, "config.rotor", "k"),
-        "hbar": _number(rotor, "config.rotor", "hbar", minimum=0.0, exclusive=True),
-        "n_basis": _integer(rotor, "config.rotor", "n_basis", minimum=2),
+        "hbar": _number(rotor, "config.rotor", "hbar"),
+        "n_basis": _integer(rotor, "config.rotor", "n_basis"),
         # labels m + a - n_basis//2 are int64 in the CSV and floats in the free phase;
         # |m| <= 2**53 keeps m exact as a float and the labels far from int64 overflow
         "initial_momentum": _integer(rotor, "config.rotor", "initial_momentum", -(2**53), 2**53),
@@ -295,23 +281,21 @@ def _validate_classical(raw, out):
 
 
 def _validate_feasibility(raw, out):
-    args = {
-        "b_range_au": _number(raw, "config", "b_range_au"),
-        "n_sites": _integer(raw, "config", "n_sites"),
-        "j_hz": _number(raw, "config", "j_hz"),
-        "t0_seconds": _number({"t0_seconds": DEFAULT_T0_SECONDS, **raw}, "config", "t0_seconds"),
-    }
-    out.update(args)
-    # the estimate is a few float operations; computing it finds its overflows
-    _checked("config", feasibility, **args)
+    b, n, j = raw["b_range_au"], raw["n_sites"], raw["j_hz"]
+    t0 = raw.get("t0_seconds", DEFAULT_T0_SECONDS)
+    # the estimate is a few float operations; computing it checks each field and finds overflows
+    _checked("config", feasibility, b, n, j, t0)
+    out.update(b_range_au=float(b), n_sites=operator.index(n), j_hz=float(j), t0_seconds=float(t0))
 
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict and return it with defaults resolved.
 
-    Raises :class:`ConfigError` naming the offending field path on any
-    missing, unknown, ill-typed or out-of-range field (CLI exit 2), then a
-    :class:`LimitError` if the run would break a cap of :mod:`._limits` (exit 1).
+    Raises :class:`ConfigError` on any missing, unknown, ill-typed or
+    out-of-range field (CLI exit 2), then a :class:`LimitError` if the run
+    would break a cap of :mod:`._limits` (exit 1).  A number's type, finiteness
+    or bound is refused in the library's wording at the field's section
+    (``config.chain: j1 must be finite, got nan``); a real resolves to a ``float``.
     """
     raw = _object(raw, "config")
     scenario = _string(raw, "config", "scenario", SCENARIOS)

@@ -25,6 +25,7 @@ from kickedchain.diagnostics import (
     MASS_WINDOW,
     MIN_CONTRAST,
     THRESHOLD_FACTOR,
+    LocalizationFit,
     SpikeTracker,
     _local_contrast,
     _median,
@@ -171,6 +172,13 @@ class TestLocalizationFit:
         fit = fit_localization_length(p, 512, (10.0, 200.0))
         assert fit.r_squared == pytest.approx(0.0, abs=1e-6)
         assert not fit.exponential
+
+    @pytest.mark.parametrize(
+        "length, expected", [(np.inf, False), (np.nan, False), (5.0, True)], ids=["inf", "nan", "5"]
+    )
+    def test_exponential_is_a_bool(self, length, expected):
+        # np.isfinite made it numpy's bool for a length that is not finite
+        assert LocalizationFit(length=length, r_squared=0.9, n_points=10).exponential is expected
 
     def test_insufficient_data(self):
         p = np.zeros(256)

@@ -215,7 +215,7 @@ class TestValidation:
     def test_non_finite_number_names_field(self, tmp_path, section, key, value):
         cfg = small_single_kick(tmp_path)
         cfg[section][key] = value
-        with pytest.raises(ConfigError, match=f"config.{section}.{key}: must be finite"):
+        with pytest.raises(ConfigError, match=f"^config.{section}: {key} must be finite"):
             validate_config(cfg)
 
     def test_nan_b_weak_rejected(self, tmp_path):
@@ -224,7 +224,7 @@ class TestValidation:
             scenario="double_kick_random",
             schedule={"b_weak": float("nan"), "period": 3.0},
         )
-        with pytest.raises(ConfigError, match="config.schedule.b_weak: must be finite"):
+        with pytest.raises(ConfigError, match="^config.schedule: b_weak must be finite, got nan$"):
             validate_config(cfg)
 
     def test_nan_section_point_rejected(self, tmp_path):
@@ -236,10 +236,10 @@ class TestValidation:
             "initial": {"points": [[0.0, 0.0], [float("nan"), 0.5]]},
             "n_steps": 10,
         }
-        with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
+        with pytest.raises(ConfigError, match=r"^config.initial.points\[1\]: x must be finite, got nan$"):
             validate_config(cfg)
         cfg["initial"]["points"][1] = [10**400, 0.5]
-        with pytest.raises(ConfigError, match=r"config.initial.points\[1\]: expected a finite"):
+        with pytest.raises(ConfigError, match=r"^config.initial.points\[1\]: x must be finite, got inf$"):
             validate_config(cfg)
 
     @pytest.mark.parametrize("section, cls, key", DATACLASS_FIELDS)
@@ -251,13 +251,19 @@ class TestValidation:
             validate_config(cfg)
         assert str(err.value) == f"config.{section}: missing required field '{key}'"
 
-    # period > 0 is the validator's own rule; the others are the records' rules,
-    # refused at their section
+    # period > 0 is the validator's own rule, read by check_reals; the others are
+    # the records' rules; each is refused at its section
     @pytest.mark.parametrize(
         "section, cls, key, value, message",
         [
-            ("schedule", SingleKick, "period", 0.0, "config.schedule.period: must be > 0.0"),
-            ("schedule", DoubleKick, "period", 0, "config.schedule.period: must be > 0.0"),
+            (
+                "schedule", SingleKick, "period", 0.0,
+                "config.schedule: period must be finite and > 0.0, got 0.0",
+            ),
+            (
+                "schedule", DoubleKick, "period", 0,
+                "config.schedule: period must be finite and > 0.0, got 0.0",
+            ),
             ("map", DoubleKickMap, "eps", 0.0, "config.map: eps must be finite and > 0, got 0.0"),
             ("map", DoubleKickMap, "tau", 0, "config.map: tau must be finite and > 0, got 0.0"),
             (
@@ -321,8 +327,14 @@ class TestValidation:
         [
             (2**53, SLOW_ROTOR, None),
             (-(2**53), SLOW_ROTOR, None),
-            (2**53 + 1, SLOW_ROTOR, "config.rotor.initial_momentum: must be <= 9007199254740992"),
-            (-(2**53) - 1, SLOW_ROTOR, "config.rotor.initial_momentum: must be >= -9007199254740992"),
+            (
+                2**53 + 1, SLOW_ROTOR,
+                "config.rotor: initial_momentum must be <= 9007199254740992, got 9007199254740993",
+            ),
+            (
+                -(2**53) - 1, SLOW_ROTOR,
+                "config.rotor: initial_momentum must be >= -9007199254740992, got -9007199254740993",
+            ),
             (2**53, {}, "free phase reaches 4.06e+31 rad"),
         ],
         ids=[
@@ -431,8 +443,8 @@ class TestRunScenario:
             pytest.param({"seed": 2**64}, "config.seed: must be an unsigned 64-bit integer", id=str(2**64)),
             pytest.param({"seed": -1}, "config.seed: must be an unsigned 64-bit integer", id="-1"),
             # refused as the config's own seed and output are, not stored or passed on
-            pytest.param({"seed": True}, "config.seed: expected an integer", id="True"),
-            pytest.param({"seed": 1.5}, "config.seed: expected an integer", id="1.5"),
+            pytest.param({"seed": True}, "config: seed must be an integer, not bool", id="True"),
+            pytest.param({"seed": 1.5}, "config: seed must be an integer, got float", id="1.5"),
             pytest.param({"out_prefix": 5}, "config.output: expected a string", id="out_prefix-5"),
             pytest.param(
                 {"out_prefix": "results/"},
@@ -532,6 +544,12 @@ class TestRunScenario:
         # True used to be written to the report as "n_sites": true
         with pytest.raises(TypeError, match="n_sites must be an integer"):
             feasibility(1e-6, sites, 1e9)
+
+    def test_feasibility_estimates_in_python_numbers(self):
+        # in float32 the Tesla value of 1e36 au overflowed, and in int64 the square of 2**40 sites
+        scalars = feasibility(np.float32(1e36), np.int64(2**40), np.float32(1e9))
+        assert scalars == feasibility(float(np.float32(1e36)), 2**40, float(np.float32(1e9)))
+        assert type(scalars.b_range_au) is float and type(scalars.n_sites) is int
 
     def test_feasibility_without_field_is_infeasible_not_an_error(self, tmp_path, capsys):
         cfg = {
@@ -881,6 +899,86 @@ class TestReportShape:
         assert result["warnings"] == report["warnings"]
 
 
+# Each scenario's report-shape config, and a section config of each map
+# variant, with a whole number in every real field, so that each can be
+# written as an integer literal; each value is a float32 too.
+WHOLE_NUMBERS = {
+    "single_kick": {
+        "chain": {"n_sites": 64, "j1": 1.0, "j2": 0.0},
+        "schedule": {"b_kick": 1.0, "period": 20.0},
+    },
+    "double_kick": {"schedule": {"b_weak": 1.0, "b_strong": 4.0, "period": 3.0}},
+    "double_kick_random": {"schedule": {"b_weak": 1.0, "period": 3.0}},
+    "qkr": {"rotor": {"k": 5.0, "hbar": 1.0, "n_basis": 64, "initial_momentum": -3}},
+    "classical_map": {"initial": {"uniform_x": {"n_trajectories": 16, "p0": 1.0, "p_jitter": 2.0}}},
+    "feasibility": {"b_range_au": 1.0, "j_hz": 1e9, "t0_seconds": 1.0},
+    **{
+        f"surface_of_section-{name}": {
+            "map": {"variant": name, **{key: float(i + 1) for i, key in enumerate(fields)}},
+            "initial": {"points": [[0.0, 1.0], [3.0, -2.0]]},
+        }
+        for name, fields in SECTIONS["map"].values()
+    },
+}
+
+
+def whole_number_config(tmp_path, case):
+    return {**shape_config(tmp_path, case.split("-")[0]), **copy.deepcopy(WHOLE_NUMBERS[case])}
+
+
+def with_numbers(node, integer, real):
+    """``node`` with each int given to ``integer`` and each float to ``real``."""
+    if isinstance(node, dict):
+        return {key: with_numbers(v, integer, real) for key, v in node.items()}
+    if isinstance(node, list):
+        return [with_numbers(v, integer, real) for v in node]
+    if isinstance(node, float):
+        return real(node)
+    return integer(node) if isinstance(node, int) else node
+
+
+def integer_literal(x):
+    assert x.is_integer(), x
+    return int(x)
+
+
+def float32_scalar(x):
+    assert np.float32(x) == x, x
+    return np.float32(x)
+
+
+class TestNumberLiterals:
+    """A real field given as an integer, or a number given as a numpy scalar,
+    resolves to the plain float or int and runs as the plain config does."""
+
+    def run_bytes(self, config):
+        result = run_scenario(config)
+        return {f: Path(f).read_bytes() for f in result["files"]}
+
+    @pytest.mark.parametrize("case", WHOLE_NUMBERS)
+    def test_integer_literals_resolve_as_floats(self, tmp_path, case):
+        cfg = whole_number_config(tmp_path, case)
+        plain, literal = tmp_path / "plain.json", tmp_path / "literal.json"
+        plain.write_text(json.dumps(cfg))
+        literal.write_text(json.dumps(with_numbers(cfg, int, integer_literal)))
+        expected = validate_config(read_config(plain))
+        # json writes 1 and 1.0 apart, so the resolved types must match too
+        resolved = validate_config(read_config(literal))
+        assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        blobs = self.run_bytes(plain)
+        assert self.run_bytes(literal) == blobs
+
+    @pytest.mark.parametrize("case", WHOLE_NUMBERS)
+    def test_numpy_scalars_resolve_as_plain_numbers(self, tmp_path, case):
+        cfg = whole_number_config(tmp_path, case)
+        scalars = with_numbers(cfg, np.int64, float32_scalar)
+        # json refuses a numpy integer or float32, and writes 1 and 1.0 apart
+        resolved = validate_config(scalars)
+        assert json.dumps(resolved, sort_keys=True) == json.dumps(validate_config(cfg), sort_keys=True)
+        blobs = self.run_bytes(cfg)
+        assert self.run_bytes(scalars) == blobs
+
+
 class TestWriterBytes:
     """``write_csv`` reproduces the csv.writer oracles byte for byte."""
 
@@ -1044,6 +1142,47 @@ class TestWriterPasses:
             assert any(first == 1 for p in passes for _, first, _ in p)
 
 
+# one real and one integer field of each section: (scenario, key path,
+# section, name, the bound check_reals adds to "finite", or None for an integer)
+NUMBER_FIELDS = [
+    ("single_kick", ("chain", "j1"), "config.chain", "j1", ""),
+    ("single_kick", ("chain", "n_sites"), "config.chain", "n_sites", None),
+    ("single_kick", ("schedule", "b_kick"), "config.schedule", "b_kick", ""),
+    ("single_kick", ("n_periods",), "config", "n_periods", None),
+    ("single_kick", ("initial", "delta_site"), "config.initial", "delta_site", None),
+    ("qkr", ("rotor", "k"), "config.rotor", "k", ""),
+    ("qkr", ("rotor", "n_basis"), "config.rotor", "n_basis", None),
+    ("classical_map", ("map", "k"), "config.map", "k", ""),
+    ("classical_map", ("record_every",), "config", "record_every", None),
+    ("classical_map", ("initial", "uniform_x", "p0"), "config.initial.uniform_x", "p0", ""),
+    (
+        "classical_map", ("initial", "uniform_x", "n_trajectories"),
+        "config.initial.uniform_x", "n_trajectories", None,
+    ),
+    ("surface_of_section", ("initial", "points", 0, 0), "config.initial.points[0]", "x", ""),
+    ("feasibility", ("b_range_au",), "config", "b_range_au", " and >= 0"),
+    ("feasibility", ("n_sites",), "config", "n_sites", None),
+]
+# (id, value, the refusal of a real field, of an integer field); 1.5 is a real number
+NUMBER_VALUES = [
+    ("str", "1", "must be a real number, got str", "must be an integer, got str"),
+    ("true", True, "must be a real number, got bool", "must be an integer, not bool"),
+    ("null", None, "must be a real number, got NoneType", "must be an integer, got NoneType"),
+    ("list", [], "must be a real number, got list", "must be an integer, got list"),
+    ("nan", float("nan"), "must be finite{bound}, got nan", "must be an integer, got float"),
+    ("1.5", 1.5, None, "must be an integer, got float"),
+]
+NUMBER_REFUSALS = {
+    f"{scenario}-{'.'.join(map(str, keys))}-{value_id}": (
+        scenario, keys, value,
+        f"{section}: {name} " + (integer if bound is None else real.format(bound=bound)),
+    )
+    for scenario, keys, section, name, bound in NUMBER_FIELDS
+    for value_id, value, real, integer in NUMBER_VALUES
+    if bound is None or real is not None
+}
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -1105,7 +1244,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "scenario, section, key, value, message",
         [
-            ("qkr", "rotor", "initial_momentum", 2**63, "config.rotor.initial_momentum: must be <="),
+            ("qkr", "rotor", "initial_momentum", 2**63, "config.rotor: initial_momentum must be <="),
             (
                 "classical_map", ("initial", "uniform_x"), "p_jitter", 1e308,
                 "config.initial.uniform_x.p_jitter: 2 * p_jitter",
@@ -1252,6 +1391,9 @@ class TestCli:
             "config: n_periods must be >= 0",
         ),
         "snapshot_every-0": ("qkr", {("snapshot_every",): 0}, "config: snapshot_every must be >= 1"),
+        # check_rotor spans the rotor section and the top level
+        "hbar-0": ("qkr", {("rotor", "hbar"): 0}, "config: hbar must be finite and > 0, got 0.0"),
+        "n_basis-1": ("qkr", {("rotor", "n_basis"): 1}, "config: n_basis must be >= 2"),
         "n_steps-0": ("surface_of_section", {("n_steps",): 0}, "config: n_steps must be >= 1"),
         "record_every-0-huge-ensemble": (
             "classical_map",
@@ -1273,6 +1415,15 @@ class TestCli:
         scenario, leaves, message = self.LIBRARY_RULES[rule]
         cfg = shape_config(tmp_path, scenario)
         path = write_probe(tmp_path, cfg, leaves)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("probe", NUMBER_REFUSALS)
+    def test_number_refusal_has_one_wording(self, tmp_path, capsys, probe):
+        scenario, keys, value, message = NUMBER_REFUSALS[probe]
+        path = write_probe(tmp_path, shape_config(tmp_path, scenario), {keys: value})
         for command in ("validate", "run"):
             assert main([command, "--config", str(path)]) == 2
             assert capsys.readouterr() == ("", f"config error: {message}\n")
@@ -1321,9 +1472,7 @@ class TestCli:
         cfg = {**shape_config(tmp_path, "feasibility"), "n_sites": 100, **fields}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == code
-        # a NaN in a config is refused by the validator's own check, with the field's path
-        expected = "config error: config.b_range_au: must be finite\n" if probe == "b_range-nan" else err
-        assert capsys.readouterr() == ("", expected)
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("initial", [{"delta_site": 0}, {"magnon_m": 0}])
     def test_huge_ring_refused_before_state_is_built(self, tmp_path, capsys, initial):
@@ -1467,7 +1616,7 @@ class TestCli:
         path.write_text(json.dumps(cfg))  # json writes the bare NaN token
         assert "NaN" in path.read_text()
         assert main(["run", "--config", str(path)]) == 2
-        assert "config.chain.j1: must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: config.chain: j1 must be finite, got nan\n"
         assert not list(tmp_path.glob("trap_*"))
 
     def test_report_refuses_nan(self, tmp_path):
