@@ -105,8 +105,26 @@ class LocalizationFit:
 
 
 def _line_fit(x, y):
-    """Slope and r-squared of the least-squares line through the points ``(x, y)``."""
-    slope, intercept = np.polyfit(x, y, 1)
+    """Slope and r-squared of the least-squares line through the points ``(x, y)``.
+
+    The slope is the closed form ``sum(dx * (y - ȳ)) / sum(dx**2)`` with
+    ``dx = x - x̄`` (Björck 1996), each mean and sum a correctly rounded
+    ``math.fsum`` over Python floats (Shewchuk 1997), so no LAPACK routine is
+    called and the bits do not depend on the BLAS build; the intercept is
+    ``ȳ - slope * x̄``.  Fewer than two distinct ``x``, or an ``x`` spread
+    whose squares underflow or overflow, is a ``ValueError``.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    xs, ys = x.tolist(), y.tolist()
+    if len(set(xs)) < 2:
+        raise ValueError(f"a line fit needs at least two distinct x, got {len(xs)} points")
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [v - x_mean for v in xs]
+    sxx = math.fsum(d * d for d in dx)
+    if not 0 < sxx < math.inf:
+        raise ValueError(f"the squared x spread of a line fit is {sxx!r}, not positive and finite")
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, ys)) / sxx
+    intercept = y_mean - slope * x_mean
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -163,8 +181,7 @@ class SpikeTrack:
 
     def _fit_speed(self):
         if len(self.periods) >= 2:
-            x = np.asarray(self.periods, float)
-            self.speed = float(_line_fit(x, np.abs(self.displacements).astype(float))[0])
+            self.speed = _line_fit(self.periods, [abs(d) for d in self.displacements])[0]
 
 
 def _median(values) -> float:

@@ -1,10 +1,12 @@
 """Distribution-observable tests with synthetic and propagated data."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kickedchain import (
@@ -27,6 +29,7 @@ from kickedchain.diagnostics import (
     THRESHOLD_FACTOR,
     LocalizationFit,
     SpikeTracker,
+    _line_fit,
     _local_contrast,
     _median,
 )
@@ -199,6 +202,85 @@ class TestLocalizationFit:
         p = two_sided_exponential(256, 128, 20.0)
         with pytest.raises(ValueError):
             fit_localization_length(p, 128, (50.0, 400.0))
+
+
+def exact_slope_and_scales(x, y):
+    """The least-squares slope of ``(x, y)`` in exact arithmetic, and two
+    scales against which rounding is judged: ``sum(|dx * (y - ȳ)|) / sum(dx**2)``
+    (the slope itself may be a small difference of large terms) and the same
+    with ``y`` in place of ``y - ȳ``, which bounds the rounding of
+    ``np.polyfit``, whose solver does not subtract ``ȳ``."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    dx = [u - x_mean for u in x]
+    terms = [d * (v - y_mean) for d, v in zip(dx, y)]
+    sxx = sum(d * d for d in dx)
+    return (
+        sum(terms) / sxx,
+        float(sum(abs(t) for t in terms) / sxx),
+        float(sum(abs(d * v) for d, v in zip(dx, y)) / sxx),
+    )
+
+
+def line_r2(x, y, slope, intercept):
+    """r-squared of the line ``slope * x + intercept`` as ``_line_fit`` takes it."""
+    pred = slope * x + intercept
+    return 1.0 - float(np.sum((y - pred) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+
+
+# reals of at most 1e3 in size, none of them tiny, for the float property
+moderate_reals = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+
+
+class TestLineFit:
+    def test_integer_data_within_4_ulp_of_scale(self):
+        rng = np.random.default_rng(1996)
+        for _ in range(2000):
+            n = int(rng.integers(2, 41))
+            x = rng.integers(-1000, 1001, n).tolist()
+            y = rng.integers(-10**6, 10**6 + 1, n).tolist()
+            if len(set(x)) < 2:
+                continue
+            exact, scale, _ = exact_slope_and_scales(x, y)
+            slope = _line_fit(x, y)[0]
+            assert abs(Fraction(slope) - exact) <= 4 * Fraction(math.ulp(scale)), (x, y)
+
+    def test_accelerator_mode_speed_is_exact(self):
+        # the spikes of the bundled accelerator_modes run; 1645 / 17.5 = 94
+        slope, r2 = _line_fit([1, 2, 3, 4, 5, 6], [96, 193, 282, 375, 472, 568])
+        assert slope == 94.0
+        assert 0.999 < r2 < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(moderate_reals, moderate_reals), min_size=2, max_size=40))
+    def test_float_data_against_exact_and_polyfit(self, points):
+        x, y = (np.array(v) for v in zip(*points))
+        spread = float(np.ptp(x))
+        assume(spread > 0 and spread >= 1e-2 * float(np.abs(x).max()) and np.ptp(y) > 0)
+        slope, r2 = _line_fit(x, y)
+        exact, scale, polyfit_scale = exact_slope_and_scales(x.tolist(), y.tolist())
+        assert abs(Fraction(slope) - exact) <= Fraction(1e-13 * scale)
+        # np.polyfit's own error grows with |y| and with max|x| / spread, the
+        # conditioning of its uncentred design: (0, -989), (1, -990) gives
+        # -0.99999999999989, 1e-13 off the exact -1 on a scale of 1
+        ref_slope, _ = np.polyfit(x, y, 1)
+        conditioning = max(1.0, float(np.abs(x).max()) / spread)
+        assert abs(slope - ref_slope) <= 1e-13 * polyfit_scale * conditioning
+        x_mean, y_mean = math.fsum(x.tolist()) / len(x), math.fsum(y.tolist()) / len(y)
+        assert r2 == line_r2(x, y, slope, y_mean - slope * x_mean)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[], [3.0], [0.1, 0.1, 0.1], [2.5] * 7, [0.0, 5e-324]],
+        ids=["none", "one", "tenth-x3", "one-x-7", "underflow"],
+    )
+    def test_refuses_fewer_than_two_distinct_x(self, x):
+        # 0.1 three times has an fsum mean of 0.10000000000000002, so its
+        # deviations are not zero; two subnormal x square to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="line fit"):
+                _line_fit(x, [1.0] * len(x))
 
 
 def synthetic_spike_record(n=2048, center=1024, speed=94, n_periods=6, spike_mass=0.1):

@@ -1756,10 +1756,10 @@ class TestCli:
         assert len(steps) == 15
         assert out.stdout.splitlines()[-1] == str([False] * 14 + [True])
 
-    def test_spike_tracking_loads_no_numpy_ma(self, tmp_path):
-        # a single kick that tracks spikes and fits the localization length
-        # takes its medians without np.median, so the run does not load
-        # numpy.ma, which np.median imports
+    @staticmethod
+    def run_spike_tracking(tmp_path, prelude):
+        """Run a small single kick that tracks spikes and fits the localization
+        length in a fresh process after ``prelude``; return its last output line."""
         config = tmp_path / "spikes.json"
         config.write_text(json.dumps(small_single_kick(
             tmp_path,
@@ -1770,7 +1770,7 @@ class TestCli:
             initial={"delta_site": 256},
         )))
         code = (
-            "import sys\nfrom kickedchain.cli import main\n"
+            f"import sys\n{prelude}\nfrom kickedchain.cli import main\n"
             f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
             "print('numpy.ma' in sys.modules)"
         )
@@ -1781,7 +1781,28 @@ class TestCli:
         report = json.loads((tmp_path / "run_report.json").read_text())["report"]
         assert report["loc_length"] is not None and report["spikes"]
         assert None not in report["spike_speeds"].values() and len(report["spike_speeds"]) == 2
-        assert out.stdout.splitlines()[-1] == "False"
+        return out.stdout.splitlines()[-1]
+
+    def test_spike_tracking_loads_no_numpy_ma(self, tmp_path):
+        # the spike tracker takes its medians without np.median, so the run
+        # does not load numpy.ma, which np.median imports
+        assert self.run_spike_tracking(tmp_path, "") == "False"
+
+    def test_spike_tracking_makes_no_lapack_fit(self, tmp_path):
+        # the speed and localization fits are closed-form sums, so the run
+        # succeeds with numpy.linalg.lstsq, the LAPACK solver behind np.polyfit,
+        # replaced wherever it is bound by a function that raises
+        prelude = (
+            "import numpy\n"
+            "original = numpy.linalg.lstsq\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('numpy.linalg.lstsq called')\n"
+            "for module in list(sys.modules.values()):\n"
+            "    if getattr(module, 'lstsq', None) is original:\n"
+            "        module.lstsq = refuse\n"
+            "assert numpy.linalg.lstsq is refuse"
+        )
+        self.run_spike_tracking(tmp_path, prelude)
 
 
 class TestPackageExports:
