@@ -14,11 +14,15 @@ infinities and NaN take ``repr`` one value at a time.
 
 A row is a run of little-endian uint64 words (``'<u8'``, whatever the host's
 byte order) in which NUL bytes mark unused slots, so one boolean compaction
-of the row matrix gives the CSV bytes.  A value takes ``_WORDS`` words: ","
-and the sign, with the "0.000" head of a small fixed-point value; then up to
-17 digits with the decimal point put in (18 bytes), and the exponent suffix.
-Every row carries its own head words, "\\r\\n<index>,", so one pass of the
-kernel can end one snapshot or trajectory and start the next.
+of the row matrix gives the CSV bytes.  numpy copies the bytes a boolean
+index keeps run by run, so the slots are placed to make few runs.  A value
+takes ``_WORDS`` words: "," with the sign and the "0.000" head of a small
+fixed-point value, right-aligned so that they run on into the digits; then
+up to 17 digits with the decimal point put in (18 bytes), and the exponent
+suffix.  Every row carries its own head words, "\\r\\n<index>,", so one pass
+of the kernel can end one snapshot or trajectory and start the next; they are
+right-aligned, so that they run on into the row's label.  A row of k
+fixed-point values is then k + 1 runs.
 """
 
 from __future__ import annotations
@@ -64,8 +68,12 @@ def _tables():
         "ml": ml, "mh": mh,
         # the low and the high 32-bit limbs of ml and mh
         "limb0": np.stack([ml & _MASK, mh & _MASK]), "limb1": np.stack([ml >> 32, mh >> 32]),
-        # 2 mul, and the complement of its low word
-        "ml2": ml << 1, "mh2": (mh << 1) | (ml >> 63), "nml2": ~(ml << 1),
+        # the high and the low word of 2 mul, then of mul: what a bound adds or
+        # subtracts; and the complement of the low word of 2 mul
+        "bh": np.concatenate([(mh << 1) | (ml >> 63), mh]), "bl": np.concatenate([ml << 1, ml]),
+        "nml2": ~(ml << 1),
+        # the hidden bit of 4 mv, set for the normal doubles
+        "hidden": np.where(np.arange(len(q)) > 0, np.uint64(1 << 54), np.uint64(0)),
         # the shift q - k - 64 and 64 minus it
         "shift": np.stack([q - k - 64, 128 - q + k]).astype(np.uint64),
         # the low q bits, which are all zero in a multiple of 2**q
@@ -75,21 +83,25 @@ def _tables():
     ryu_e10 = q + e2
     pow10 = np.array([10**n for n in range(20)], dtype=np.uint64)
     half = np.array([2**64 - 1] + [5 * 10**n for n in range(19)], dtype=np.uint64)
-    # per leading exponent E at E - _MIN_LEAD: the first word (the sign is added
-    # later), the suffix after the 18 bytes of digits and point, the digit the
-    # point follows (17: no point) and the fewest digits shown ("1000.0" shows five)
-    first, suffix, point, fewest = [], [], [], []
+    # per leading exponent E at E - _MIN_LEAD: the head of the digits, the suffix
+    # after the 18 bytes of digits and point, the digit the point follows (17: no
+    # point) and the fewest digits shown ("1000.0" shows five)
+    heads, suffix, point, fewest = [], [], [], []
     for lead in range(_MIN_LEAD, 16):
-        head = "0." + "0" * (-lead - 1) if -4 <= lead < 0 else ""
-        first.append(_word(",") | _word(head, 2))
+        heads.append("0." + "0" * (-lead - 1) if -4 <= lead < 0 else "")
         suffix.append(_word(f"e-{-lead:02d}", 2) if lead < -4 else 0)
         point.append(lead if lead >= 0 else 0 if lead < -4 else 17)
         fewest.append(lead + 2 if lead >= 0 else 0)
+    first = [_word(f",{sign}{h}", 7 - len(sign + h)) for sign in ("", "-") for h in heads]
     layout = {
+        # per leading exponent, then again for negative values: the first word,
+        # "," with the sign and the head, right-aligned so that it runs on into the digits
         "first": np.array(first, dtype=np.uint64),
         "suffix": np.array(suffix, dtype=np.uint64),
         "point": np.array(point, dtype=np.intp),
         "fewest": np.array(fewest, dtype=np.intp),
+        # per bit length b: the digits of 2**(b - 1), the fewest of that bit length
+        "count": np.array([1] + [len(str(2 ** (b - 1))) for b in range(1, 66)], dtype=np.intp),
         # per count of digits shown: ASCII "0" in those bytes of the three digit words
         "zeros": _split_words([int.from_bytes(b"0" * n, "little") for n in range(18)], 3),
         # per digit the point follows (17: none): the bytes up to it, and the point after it
@@ -119,19 +131,23 @@ def _interval(mv, exp, ryu):
 
     ``mv`` holds the doubles' bits on entry; it is overwritten.
     """
-    mv &= 2**52 - 1
-    # the lower bound is mv - 2, or mv - 1 below a power of two
-    wide = (mv != 0) | (exp <= 1)
-    mv |= (exp != 0).astype(np.uint64) << 52
-    mv <<= 2
+    # 4 mv: the fraction bits, shifted up two, and the hidden bit
+    mv <<= 12
+    mv >>= 10
+    # the lower bound is 4 mv - 2, or 4 mv - 1 at a power of two above the least normal
+    narrow = (mv == 0) & (exp > 1)
+    mv |= ryu["hidden"].take(exp)
     exact = (mv & ryu["tz"].take(exp)) == 0
     w0, w1, w2 = _product(mv, exp, ryu)
-    # words 1 and 2 of the bounds P + 2 mul and P - 2 mul (or P - mul)
-    up = ryu["mh2"].take(exp)
+    # words 1 and 2 of the bounds P + 2 mul and P - 2 mul (or P - mul, from the
+    # second half of the tables)
+    up = ryu["bh"].take(exp)
     up += w0 > ryu["nml2"].take(exp)
-    down = np.where(wide, ryu["mh2"].take(exp), ryu["mh"].take(exp))
-    down += w0 < np.where(wide, ryu["ml2"].take(exp), ryu["ml"].take(exp))
-    del w0, wide
+    lower = narrow * len(ryu["mh"])
+    lower += exp
+    down = ryu["bh"].take(lower)
+    down += w0 < ryu["bl"].take(lower)
+    del w0, narrow, lower
     bounds = np.empty((2, len(w1)), dtype=np.uint64)
     high = np.empty_like(bounds)
     np.add(w1, up, out=bounds[0])
@@ -165,7 +181,10 @@ def _digits(bits, exp):
         cut = bounds // 10**step
         keep = cut[0] > cut[1]
         if keep.any():
-            np.copyto(bounds, cut, where=keep)
+            # bounds = cut where keep, in three passes: cheaper than a masked copy
+            bounds -= cut
+            bounds *= ~keep
+            bounds += cut
             removed += keep * step
     del cut, keep
     scale = pow10.take(removed)
@@ -217,31 +236,56 @@ def _digit_words(digits, n_digits, pow10):
     return words
 
 
+def _digit_count(digits):
+    """The decimal digits of each of ``digits``, below 10**17; 1 for zero.
+
+    The float exponent gives the bit length (zero clips to 0), a table the
+    fewest digits of that bit length, and a compare with the next power of ten
+    the one digit more.  The rounding to float adds a bit only where a value
+    rounds up to a power of two, which has as many digits: no power of ten up
+    to 10**16 lies within 2**-53 below a power of two.
+    """
+    _, _, pow10, _, layout = _tables()
+    n = digits.astype(np.float64).view(np.int64)
+    n >>= 52
+    n -= 1022
+    n = layout["count"].take(n, mode="clip")
+    n += digits >= pow10.take(n)
+    return n
+
+
 def _fill(words, x) -> None:
-    """Write the floats ``x``, shape ``(m, k)``, into ``words``, shape ``(m, k, _WORDS)``."""
+    """Write the floats ``x``, shape ``(m, k)``, into ``words``, shape ``(m, k, _WORDS)``.
+
+    A value's first word, "," with its sign and head, is right-aligned against
+    its digits, whose count ``_digit_count`` reads from a table.
+    """
     _, _, pow10, _, layout = _tables()
     shape = x.shape
     bits = np.ascontiguousarray(x).view(np.uint64).ravel()
     exp = (bits >> 52).view(np.int64)
     exp &= 0x7FF
     zero = (bits << 1) == 0
-    fast = (exp <= _MAX_EXP) & ~zero
-    slow = np.flatnonzero(~(fast | zero))
-    # a lane outside the fast path computes the digits of 0.30000000000000004,
-    # which drop few, and is overwritten
-    np.putmask(exp, ~fast, 1021)
-    digits, last_exp = _digits(np.where(fast, bits, 0x3FD3333333333334), exp)
-    del exp, fast
-    digits[zero] = 0
-    n_digits = np.searchsorted(pow10[1:18], digits, side="right") + 1
+    off = exp > _MAX_EXP
+    slow = np.flatnonzero(off)
+    # a lane off the fast path, zero or slow, computes the digits of
+    # 0.30000000000000004, which drop few, and is overwritten
+    off |= zero
+    np.putmask(exp, off, 1021)
+    digits, last_exp = _digits(np.where(off, 0x3FD3333333333334, bits), exp)
+    del exp, off
+    np.putmask(digits, zero, 0)
+    n_digits = _digit_count(digits)
     text = _digit_words(digits, n_digits, pow10)
     del digits
-    row = np.where(zero, 0, last_exp + n_digits - 1) - _MIN_LEAD
+    row = last_exp + n_digits
+    row -= 1 + _MIN_LEAD
+    np.putmask(row, zero, -_MIN_LEAD)
     shown = np.maximum(n_digits, layout["fewest"].take(row))
     del n_digits
     # a point shows only where a digit follows it: "5e-324", not "5.e-324"
     at = layout["point"].take(row)
-    at[at >= shown - 1] = 17
+    np.putmask(at, at >= shown - 1, 17)
     # ASCII digits up to the count shown; the bytes after the point move up one
     text += layout["zeros"].take(shown, axis=1)
     low = layout["low"].take(at, axis=1)
@@ -254,8 +298,16 @@ def _fill(words, x) -> None:
     del low
     text |= layout["dot"].take(at, axis=1)
     text[2] |= layout["suffix"].take(row)
-    words[..., 1:] = text.T.reshape(*shape, 3)
-    words[..., 0] = (layout["first"].take(row) | ((bits >> 63) * 45) << 8).reshape(shape)
+    # a negative value's first word follows those of the positive values
+    first = (bits >> 63).view(np.int64)
+    first *= len(layout["fewest"])
+    first += row
+    first = layout["first"].take(first)
+    # one long strided copy per word and column: a store of the (m, k, 3) block
+    # would copy in runs of 3
+    for j, word in enumerate((first, *text)):
+        for c in range(shape[1]):
+            words[:, c, j] = word[c :: shape[1]]
     if len(slow):
         text = [b"," + repr(v).encode() for v in bits.view(np.float64)[slow].tolist()]
         fields = np.array(text, dtype=f"S{8 * _WORDS}").view("<u8").reshape(-1, _WORDS)
@@ -276,7 +328,9 @@ def _write_pass(fh, labels, pieces) -> None:
 
     Row ``i`` of a piece is "\\r\\n", which ends the line before it, ``index``,
     ``labels[first + i]`` (from ``label_words``) and the floats ``values[i]``,
-    each after a ",".  The heads of a pass are NUL-padded to the widest.
+    each after a ",".  The heads of a pass are NUL-padded on the left to the
+    widest, so that each runs on into its label, and the NUL bytes of all the
+    rows go in one boolean compaction.
     """
     heads = [f"\r\n{index},".encode() for index, _, _ in pieces]
     n_head, n_label = -(-max(map(len, heads)) // 8), labels.shape[1]
@@ -285,7 +339,7 @@ def _write_pass(fh, labels, pieces) -> None:
     rows = np.empty((m, n_head + n_label + k * _WORDS), dtype="<u8")
     at = 0
     for head, (_, first, v) in zip(heads, pieces):
-        rows[at : at + len(v), :n_head] = np.frombuffer(head.ljust(8 * n_head, b"\0"), dtype="<u8")
+        rows[at : at + len(v), :n_head] = np.frombuffer(head.rjust(8 * n_head, b"\0"), dtype="<u8")
         rows[at : at + len(v), n_head : n_head + n_label] = labels[first : first + len(v)]
         at += len(v)
     _fill(rows[:, n_head + n_label :].reshape(m, k, _WORDS), values)

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedchain._floatcsv import _BLOCK, write_csv
+from kickedchain._floatcsv import _BLOCK, _digit_count, write_csv
 
 
 def formatted(x):
@@ -61,6 +61,20 @@ def test_sweeps_match_repr():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_raw_bit_patterns_match_repr(patterns):
     assert first_difference(np.array(patterns, dtype=np.uint64).view(np.float64)) is None
+
+
+def test_digit_count_at_its_edges():
+    """The table count equals len(str(d)) wherever a bit length or a power of
+    ten changes, at 0, and on random values below 10**17."""
+    edges = [0]
+    for b in range(1, 58):
+        edges += [2 ** (b - 1), 2**b - 1]
+    for k in range(17):
+        edges += [10**k - 1, 10**k, 10**k + 1]
+    rng = np.random.default_rng(17)
+    for d in (np.array(edges, dtype=np.uint64), rng.integers(0, 10**17, 10**5, dtype=np.uint64)):
+        expected = [len(str(v)) for v in d.tolist()]
+        assert _digit_count(d.copy()).tolist() == expected
 
 
 def test_full_pass_scratch_is_bounded():

@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import importlib
+import io
 import json
 import os
 import re
@@ -1074,6 +1075,40 @@ class TestWriterBytes:
         periods = data.draw(st.lists(st.integers(0, 2**62), min_size=blocks, max_size=blocks))
         snapshots = list(zip(periods, sections[:, :, 0]))
         self.assert_same_bytes(tmp_path, write_dist_csv, oracle_dist_csv, snapshots, labels)
+
+    # off the kernel's fast path: repr one value at a time, or the zero layout
+    SLOW_PATH = [2.0**50, -(2.0**53) - 2, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -0.0]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_compaction_across_passes_matches_oracle(self, data):
+        """Rows of 1 to 3 floats, slow-path values among fast ones, negative
+        labels and snapshots that cross pass boundaries: the NUL compaction
+        leaves the csv.writer oracle's bytes, and no NUL."""
+        width = data.draw(st.integers(1, 3), label="width")
+        n_rows = data.draw(st.integers(1, 12), label="rows")
+        n_snapshots = data.draw(st.integers(1, 4), label="snapshots")
+        floats = st.one_of(st.floats(), st.sampled_from(self.SLOW_PATH))
+        values = data.draw(hnp.arrays(np.float64, (n_snapshots, n_rows, width), elements=floats), label="values")
+        labels = data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(-(2**63), 9)), label="labels")
+        indexes = data.draw(st.lists(st.integers(0, 2**62), min_size=n_snapshots, max_size=n_snapshots))
+        flat = width == 1 and data.draw(st.booleans(), label="1-D values")
+        snapshots = [(i, v[:, 0] if flat else v) for i, v in zip(indexes, values)]
+        cut = data.draw(st.integers(0, n_snapshots), label="batch cut")
+        block = data.draw(st.sampled_from([1, 2, 3, 5, 8, 13, 64]), label="block")
+        header = ",".join(["index", "label"] + [f"x{c}" for c in range(width)])
+        fh = io.BytesIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(floatcsv_module, "_BLOCK", block)
+            write_csv(fh, header, labels, [snapshots[:cut], snapshots[cut:]])
+        oracle = io.StringIO(newline="")
+        writer = csv.writer(oracle)
+        writer.writerow(header.split(","))
+        for index, v in zip(indexes, values.tolist()):
+            for label, row in zip(labels.tolist(), v):
+                writer.writerow([index, label, *map(repr, row)])
+        assert b"\0" not in fh.getvalue()
+        assert fh.getvalue() == oracle.getvalue().encode()
 
 
 def record_passes(monkeypatch):
